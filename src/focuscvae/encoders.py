@@ -1,7 +1,9 @@
 """Shared bidirectional GRU encoders and the Gaussian latent machinery.
 
 Post and response run through the *same* stacked bidirectional GRU (one
-parameter set).  The pooled encodings feed two affine heads: recognition
+parameter set).  Each step is one fused `gru_cell` node whose mask column
+carries the state unchanged through PAD positions, so padding never leaks
+into it.  The pooled encodings feed two affine heads: recognition
 (post + response, training only) and prior (post only), each emitting mean
 and log-variance of a diagonal Gaussian over the latent z.
 """
@@ -79,13 +81,6 @@ class EncoderOutputs:
         return self.states_flat.data.reshape(self.batch, self.length, -1)
 
 
-def _masked_carry(h_new: Tensor, h_prev: Tensor, mask_col: np.ndarray) -> Tensor:
-    # PAD steps keep the previous state so padding never leaks into it
-    keep = Tensor(mask_col)
-    drop = Tensor(1.0 - mask_col)
-    return ad.add(ad.scale_rows(h_new, keep), ad.scale_rows(h_prev, drop))
-
-
 def _run_direction(inputs: list[Tensor], mask: np.ndarray, cell: GRUCellWeights,
                    units: int, reverse: bool) -> list[Tensor]:
     b = mask.shape[0]
@@ -93,7 +88,7 @@ def _run_direction(inputs: list[Tensor], mask: np.ndarray, cell: GRUCellWeights,
     h = Tensor(np.zeros((b, units)))
     states: dict[int, Tensor] = {}
     for t in order:
-        h = _masked_carry(gru_cell(inputs[t], h, cell), h, mask[:, t:t + 1].astype(np.float64))
+        h = gru_cell(inputs[t], h, cell, keep=mask[:, t:t + 1].astype(np.float64))
         states[t] = h
     return [states[t] for t in range(len(inputs))]
 

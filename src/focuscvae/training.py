@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -191,12 +192,21 @@ class Adam:
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
-    max_norm <= 0 disables clipping; returns the pre-clip norm."""
+    max_norm <= 0 disables clipping; returns the pre-clip norm.
+
+    A non-finite norm raises NumericalError before any gradient is scaled,
+    naming the first parameter whose gradient holds a NaN or an infinity.
+    """
     total = 0.0
     for p in params.values():
         if p.grad is not None:
             total += float(np.sum(p.grad * p.grad))
     norm = math.sqrt(total)
+    if not math.isfinite(norm):
+        bad = next((name for name, p in params.items()
+                    if p.grad is not None and not np.isfinite(p.grad).all()), None)
+        raise NumericalError(f"non-finite gradient for {bad}" if bad is not None
+                             else f"gradient norm overflows: squared norm {total}")
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm
         for p in params.values():
@@ -266,7 +276,13 @@ def _unpack_array_block(r: _Reader) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(path, state: CheckpointState) -> None:
-    """Versioned binary layout with a trailing SHA-256 over the payload."""
+    """Versioned binary layout with a trailing SHA-256 over the payload.
+
+    The bytes go to a temporary file beside `path`, which then replaces
+    `path` in one rename, so a process that dies mid-save leaves the
+    previous checkpoint whole.  Nothing is fsynced: an operating-system
+    crash or power loss can still lose the newest save.
+    """
     config_blob = state.config.canonical_json().encode("utf-8")
     meta_blob = json.dumps(state.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = b"".join([
@@ -280,7 +296,15 @@ def save_checkpoint(path, state: CheckpointState) -> None:
         _pack_array_block(state.adam_m),
         _pack_array_block(state.adam_v),
     ])
-    Path(path).write_bytes(body + hashlib.sha256(body).digest())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body + hashlib.sha256(body).digest())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> CheckpointState:
@@ -335,6 +359,22 @@ def restore_model(state: CheckpointState) -> tuple[FocusCVAE, Adam]:
 LOG_HEADER = "step,l_seq,l_foc,l_kl,l_bow,gamma,lr,total"
 
 
+def _rewind_log(log_path: Path, step: int) -> None:
+    """Cut the loss log back to its header and rows 0..step-1, the steps a
+    checkpoint at `step` holds.  Rows past them come from a run that went on
+    after that checkpoint and are replayed by the resume."""
+    if not log_path.exists():
+        raise IntegrityError(f"{log_path}: no loss log to resume at step {step}")
+    lines = log_path.read_text().splitlines(keepends=True)
+    if not lines or lines[0] != LOG_HEADER + "\n":
+        raise IntegrityError(f"{log_path}: header is not {LOG_HEADER!r}")
+    if len(lines) - 1 < step:
+        raise IntegrityError(
+            f"{log_path}: {len(lines) - 1} rows, but the checkpoint is at step {step}")
+    if len(lines) - 1 > step:
+        log_path.write_text("".join(lines[:1 + step]))
+
+
 def format_log_row(step: int, b: LossBreakdown, lr: float) -> str:
     return ",".join([str(step), repr(b.l_seq), repr(b.l_foc), repr(b.l_kl),
                      repr(b.l_bow), repr(b.gamma), repr(lr), repr(b.total)])
@@ -369,8 +409,7 @@ def train(cfg: TrainConfig, pairs: list[PostResponsePair], out_dir=None,
     cfg.validate()
     if not pairs:
         raise ValidationError("training needs at least one pair")
-    over = max((int(p.post.max()) for p in pairs if len(p.post)), default=0)
-    over = max(over, max(int(p.response.max()) for p in pairs))
+    over = int(np.concatenate([p.post for p in pairs] + [p.response for p in pairs]).max())
     if over >= cfg.vocab_size:
         raise CompatibilityError(
             f"corpus uses token id {over} but config says vocab_size {cfg.vocab_size}")
@@ -406,10 +445,12 @@ def train(cfg: TrainConfig, pairs: list[PostResponsePair], out_dir=None,
         out_path.mkdir(parents=True, exist_ok=True)
         log_path = out_path / "loss_log.csv"
         ckpt_path = out_path / "checkpoint.bin"
-        fresh = resume is None
-        log_fh = open(log_path, "w" if fresh else "a")
-        if fresh:
+        if resume is None:
+            log_fh = open(log_path, "w")
             log_fh.write(LOG_HEADER + "\n")
+        else:
+            _rewind_log(log_path, resume.step)
+            log_fh = open(log_path, "a")
 
     params = model.named_parameters()
     n_batches = math.ceil(len(pairs) / cfg.batch_size)
@@ -449,6 +490,7 @@ def train(cfg: TrainConfig, pairs: list[PostResponsePair], out_dir=None,
             if done % cfg.checkpoint_interval == 0 or done == cfg.total_steps:
                 final_state = checkpoint_from(model, adam, done, meta)
                 if ckpt_path is not None:
+                    log_fh.flush()  # the log holds every step the checkpoint does
                     save_checkpoint(ckpt_path, final_state)
     finally:
         if log_fh is not None:

@@ -147,8 +147,6 @@ PRIMITIVE_CASES = [
                          lambda: scalar_loss(ad.mul(ad.neg(a), a)), {"a": a})),
     ("tanh", lambda rng: ((a := _rand(rng, (6,))), None,
                           lambda: scalar_loss(ad.mul(ad.tanh(a), a)), {"a": a})),
-    ("sigmoid", lambda rng: ((a := _rand(rng, (6,))), None,
-                             lambda: scalar_loss(ad.mul(ad.sigmoid(a), a)), {"a": a})),
     ("exp", lambda rng: ((a := _rand(rng, (6,))), None,
                          lambda: scalar_loss(ad.mul(ad.exp(a), a)), {"a": a})),
     ("log", lambda rng: ((a := Tensor(rng.uniform(0.5, 2.0, size=6), requires_grad=True)), None,
@@ -203,6 +201,15 @@ def test_primitive_gradients_match_finite_differences(name, case):
         assert report.passed, f"{name} draw {draw}:\n{report.format()}"
 
 
+def rand_cell(rng, d_in, d_h, scale=0.5, requires_grad=True):
+    p = lambda *shape: Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=requires_grad)
+    return GRUCellWeights(
+        W_u=p(d_in, d_h), U_u=p(d_h, d_h), b_u=p(d_h),
+        W_r=p(d_in, d_h), U_r=p(d_h, d_h), b_r=p(d_h),
+        W_h=p(d_in, d_h), U_h=p(d_h, d_h), b_h=p(d_h),
+    )
+
+
 def test_gru_cell_zero_weights_halve_state():
     d_in, d_h = 3, 4
     zeros = lambda shape: Tensor(np.zeros(shape), requires_grad=True)
@@ -216,37 +223,137 @@ def test_gru_cell_zero_weights_halve_state():
     np.testing.assert_allclose(h.data, 0.5 * v, atol=1e-15)
 
 
-def test_gru_cell_gradients():
+def _check_gru_cell_gradients(keep):
     rng = np.random.default_rng(7)
     d_in, d_h = 3, 4
-    p = lambda *shape: Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True)
-    w = GRUCellWeights(
-        W_u=p(d_in, d_h), U_u=p(d_h, d_h), b_u=p(d_h),
-        W_r=p(d_in, d_h), U_r=p(d_h, d_h), b_r=p(d_h),
-        W_h=p(d_in, d_h), U_h=p(d_h, d_h), b_h=p(d_h),
-    )
-    x = Tensor(rng.normal(size=(2, d_in)), requires_grad=True)
-    h0 = Tensor(rng.normal(size=(2, d_h)), requires_grad=True)
+    w = rand_cell(rng, d_in, d_h)
+    b = 2 if keep is None else keep.shape[0]
+    x = Tensor(rng.normal(size=(b, d_in)), requires_grad=True)
+    h0 = Tensor(rng.normal(size=(b, d_h)), requires_grad=True)
 
     def f():
-        out = gru_cell(x, h0, w)
-        return scalar_loss(ad.mul(out, out))
+        h1 = gru_cell(x, h0, w, keep)
+        h2 = gru_cell(x, h1, w, None if keep is None else 1.0 - keep)
+        return scalar_loss(ad.mul(h2, h2))
 
     params = {"x": x, "h0": h0, **w.named("w")}
     report = grad_check(f, params, h=1e-5, tol=1e-6)
     assert report.passed, report.format()
 
 
+def test_gru_cell_gradients():
+    _check_gru_cell_gradients(None)
+
+
+def test_gru_cell_gradients_with_mask():
+    _check_gru_cell_gradients(np.array([[1.0], [0.0], [1.0]]))
+
+
 def test_gru_cell_shape_mismatch():
     rng = np.random.default_rng(3)
-    p = lambda *shape: Tensor(rng.normal(size=shape))
-    w = GRUCellWeights(
-        W_u=p(3, 4), U_u=p(4, 4), b_u=p(4),
-        W_r=p(3, 4), U_r=p(4, 4), b_r=p(4),
-        W_h=p(3, 4), U_h=p(4, 4), b_h=p(4),
-    )
+    w = rand_cell(rng, 3, 4, requires_grad=False)
     with pytest.raises(DimensionError):
         gru_cell(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 4))), w)
+    with pytest.raises(DimensionError):
+        gru_cell(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 5))), w)
+    with pytest.raises(DimensionError):
+        gru_cell(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), w)
+    with pytest.raises(DimensionError):
+        gru_cell(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), w, np.ones(2))
+
+
+# the op-by-op composition the fused cell replaced, kept as its reference
+
+
+def reference_sigmoid_data(d):
+    pos = d >= 0
+    z = np.empty_like(d)
+    z[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ez = np.exp(d[~pos])
+    z[~pos] = ez / (1.0 + ez)
+    return z
+
+
+def reference_sigmoid(x):
+    z = reference_sigmoid_data(x.data)
+    return ad._record((x,), Tensor(z), lambda g: (g * z * (1.0 - z),))
+
+
+def reference_gru_cell(x, h_prev, w, keep=None):
+    u = reference_sigmoid(ad.bias_add(ad.matmul(x, w.W_u) + ad.matmul(h_prev, w.U_u), w.b_u))
+    r = reference_sigmoid(ad.bias_add(ad.matmul(x, w.W_r) + ad.matmul(h_prev, w.U_r), w.b_r))
+    c = ad.tanh(ad.bias_add(ad.matmul(x, w.W_h) + ad.matmul(ad.mul(r, h_prev), w.U_h), w.b_h))
+    h_new = ad.add(ad.mul(ad.add(ad.neg(u), 1.0), h_prev), ad.mul(u, c))
+    if keep is None:
+        return h_new
+    # masked carry: PAD rows keep the previous state
+    return ad.add(ad.scale_rows(h_new, Tensor(keep)), ad.scale_rows(h_prev, Tensor(1.0 - keep)))
+
+
+def _two_directions(cell, keeps):
+    """Three chained steps each way over shared inputs, as the encoder runs
+    them; every x and h also feeds a consumer recorded after the cells."""
+    rng = np.random.default_rng(21)
+    b, d_in, d_h = 4, 3, 5
+    fwd_w, bwd_w = rand_cell(rng, d_in, d_h), rand_cell(rng, d_in, d_h)
+    leaves = [Tensor(rng.normal(size=(b, d_in)), requires_grad=True) for _ in range(3)]
+    h0 = Tensor(rng.normal(size=(b, d_h)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(b, d_h)))
+    with Tape() as tape:
+        xs = [ad.tanh(leaf) for leaf in leaves]
+        states = []
+        for w, order in ((fwd_w, range(3)), (bwd_w, range(2, -1, -1))):
+            h = h0
+            for t in order:
+                h = cell(xs[t], h, w, keeps[t])
+                states.append(h)
+        loss = ad.sum_all(ad.mul(xs[0], xs[0]))
+        for x in xs[1:]:
+            loss = ad.add(loss, ad.sum_all(ad.mul(x, x)))
+        for h in states:
+            loss = ad.add(loss, ad.sum_all(ad.mul(h, probe)))
+    tape.backward(loss)
+    named = {"h0": h0, **{f"x{i}": leaf for i, leaf in enumerate(leaves)},
+             **fwd_w.named("fwd"), **bwd_w.named("bwd")}
+    return [s.data for s in states], {k: t.grad for k, t in named.items()}, len(tape.nodes)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["decoder", "encoder"])
+def test_fused_gru_cell_is_bit_identical_to_the_composition(masked):
+    cols = [[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]]
+    keeps = [np.array(c).reshape(-1, 1) if masked else None for c in cols]
+    fused_states, fused_grads, fused_nodes = _two_directions(gru_cell, keeps)
+    ref_states, ref_grads, ref_nodes = _two_directions(reference_gru_cell, keeps)
+    assert fused_nodes == ref_nodes - 6 * (23 if masked else 20)
+    for a, b in zip(fused_states, ref_states):
+        assert np.array_equal(a, b)
+    assert fused_grads.keys() == ref_grads.keys()
+    for name in ref_grads:
+        assert np.array_equal(fused_grads[name], ref_grads[name]), name
+
+
+def test_sigmoid_matches_the_two_branch_form_bitwise():
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 1e-320, -1e-320])
+    arrays = [special] + [rng.normal(scale=rng.uniform(0.1, 40.0), size=(rng.integers(1, 9), 4))
+                          for _ in range(3000)]
+    for d in arrays:
+        assert ad._sigmoid(d).tobytes() == reference_sigmoid_data(d).tobytes()
+
+
+def test_backward_adds_repeated_input_parts_in_listed_order():
+    # (1 + 1e-16) - 1 is 0, while (-1 + 1e-16) + 1 is 1.1e-16
+    parts = [np.array([1.0]), np.array([1e-16]), np.array([-1.0])]
+
+    def grad_with(order):
+        a = Tensor([0.0], requires_grad=True)
+        with Tape() as tape:
+            out = ad._record((a, a, a), Tensor([0.0]), lambda g: tuple(parts[i] for i in order))
+        tape.backward(out)
+        return a.grad[0]
+
+    assert grad_with([0, 1, 2]) == (1.0 + 1e-16) + -1.0 == 0.0
+    assert grad_with([2, 1, 0]) == (-1.0 + 1e-16) + 1.0 != 0.0
 
 
 def test_grad_check_reports_per_tensor():

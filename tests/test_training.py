@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from focuscvae import autodiff as ad
 from focuscvae import training as tr
 from focuscvae.autodiff import Tape, Tensor
 from focuscvae.config import TrainConfig
@@ -279,6 +280,19 @@ class TestClipping:
         assert norm == pytest.approx(500.0)
         np.testing.assert_array_equal(a.grad, [300.0, 400.0])
 
+    def test_nan_gradient_behind_a_finite_loss_raises_before_scaling(self):
+        a = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        x = Tensor(np.array([0.0]), requires_grad=True)
+        with Tape() as tape:
+            # sqrt'(0) is infinite, and times x = 0 it is NaN; the loss is 25
+            loss = ad.add(ad.sum_all(ad.mul(a, a)), ad.sum_all(ad.sqrt(ad.mul(x, x))))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tape.backward(loss)
+        assert math.isfinite(loss.item()) and np.isnan(x.grad).all()
+        with pytest.raises(NumericalError, match="for x"):
+            tr.clip_gradients({"a": a, "x": x}, 1.0)
+        np.testing.assert_array_equal(a.grad, [6.0, 8.0])
+
 
 class TestCheckpoint:
     def state(self, tmp_path, cfg=None):
@@ -334,6 +348,33 @@ class TestCheckpoint:
         with pytest.raises(VersionError):
             tr.load_checkpoint(tmp_path / "v99.bin")
 
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.bin"
+        tr.save_checkpoint(path, self.state(tmp_path))
+        before = path.read_bytes()
+
+        class DiskFull:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(tr, "open", lambda *a: DiskFull(open(*a)), raising=False)
+        later = self.state(tmp_path)
+        later.step = 8
+        with pytest.raises(OSError):
+            tr.save_checkpoint(path, later)
+        assert path.read_bytes() == before and tr.load_checkpoint(path).step == 4
+        assert [f.name for f in tmp_path.iterdir()] == ["c.bin"]
+
     def test_restore_rebuilds_a_working_model(self, tmp_path):
         st = self.state(tmp_path)
         model, adam = tr.restore_model(st)
@@ -383,6 +424,64 @@ class TestTrainLoop:
         for k, p in resumed.model.named_parameters().items():
             np.testing.assert_array_equal(p.data, full.model.named_parameters()[k].data)
 
+    def test_resume_after_a_crash_rewinds_the_log(self, tmp_path):
+        pairs, vocab = tiny_corpus()
+        cfg = lambda steps: micro_cfg(vocab_size=len(vocab), d_h=8, d_z=4, batch_size=4,
+                                      total_steps=steps, checkpoint_interval=5)
+        tr.train(cfg(8), pairs, out_dir=tmp_path / "whole")
+        run = tmp_path / "crashed"
+        tr.train(cfg(5), pairs, out_dir=run)
+        at_5 = tr.load_checkpoint(run / "checkpoint.bin")
+        tr.train(cfg(7), pairs, out_dir=run, resume=at_5)  # logs steps 5, 6, then "crashes"
+        tr.train(cfg(8), pairs, out_dir=run, resume=at_5)
+        assert ((run / "loss_log.csv").read_bytes()
+                == (tmp_path / "whole" / "loss_log.csv").read_bytes())
+
+    def test_resume_needs_the_runs_loss_log(self, tmp_path):
+        pairs, vocab = tiny_corpus()
+        cfg = micro_cfg(vocab_size=len(vocab), d_h=8, d_z=4, batch_size=4,
+                        total_steps=4, checkpoint_interval=4)
+        tr.train(cfg, pairs, out_dir=tmp_path)
+        st = tr.load_checkpoint(tmp_path / "checkpoint.bin")
+        longer = micro_cfg(vocab_size=len(vocab), d_h=8, d_z=4, batch_size=4,
+                           total_steps=6, checkpoint_interval=4)
+        log = tmp_path / "loss_log.csv"
+        lines = log.read_text().splitlines(keepends=True)
+        for text, why in (("".join(lines[:4]), "3 rows"),
+                          ("".join(["step,loss\n"] + lines[1:]), "header"),
+                          (None, "no loss log")):
+            if text is None:
+                log.unlink()
+            else:
+                log.write_text(text)
+            with pytest.raises(IntegrityError, match=why):
+                tr.train(longer, pairs, out_dir=tmp_path, resume=st)
+
+    def test_nan_gradient_aborts_before_the_update(self, tmp_path, monkeypatch):
+        pairs, vocab = tiny_corpus()
+        cfg = micro_cfg(vocab_size=len(vocab), d_h=8, d_z=4, batch_size=4,
+                        total_steps=4, checkpoint_interval=4)
+        tr.train(cfg, pairs, out_dir=tmp_path)
+        saved = (tmp_path / "checkpoint.bin").read_bytes()
+        st = tr.load_checkpoint(tmp_path / "checkpoint.bin")
+        real = tr.total_loss
+
+        def nan_gradient(model, batch, eps, gamma):
+            total, breakdown = real(model, batch, eps, gamma)
+            p = model.named_parameters()["decoder.out.b"]
+            # adds sqrt(0) = 0 to the loss, and NaN to the gradient of p
+            return ad.add(total, ad.sum_all(ad.sqrt(ad.mul(p, 0.0)))), breakdown
+
+        monkeypatch.setattr(tr, "total_loss", nan_gradient)
+        steps = []
+        monkeypatch.setattr(tr.Adam, "step", lambda self, lr: steps.append(lr))
+        longer = micro_cfg(vocab_size=len(vocab), d_h=8, d_z=4, batch_size=4,
+                           total_steps=8, checkpoint_interval=4)
+        with pytest.raises(NumericalError, match="decoder.out.b"), \
+                np.errstate(divide="ignore", invalid="ignore"):
+            tr.train(longer, pairs, out_dir=tmp_path, resume=st)
+        assert steps == [] and (tmp_path / "checkpoint.bin").read_bytes() == saved
+
     def test_resume_rejects_different_model_config(self, tmp_path):
         pairs, vocab = tiny_corpus()
         cfg = micro_cfg(vocab_size=len(vocab), d_h=8, d_z=4, batch_size=4,
@@ -408,6 +507,12 @@ class TestTrainLoop:
         cfg = micro_cfg(vocab_size=8)
         with pytest.raises(CompatibilityError):
             tr.train(cfg, pairs, out_dir=None)
+
+    def test_vocab_check_reads_responses_behind_empty_posts(self):
+        pairs = [PostResponsePair(np.array([], dtype=np.int64), np.array([4, EOS_ID])),
+                 PostResponsePair(np.array([5, 6]), np.array([9, EOS_ID]))]
+        with pytest.raises(CompatibilityError, match="token id 9"):
+            tr.train(micro_cfg(vocab_size=9), pairs, out_dir=None)
 
     def test_non_finite_loss_aborts_with_the_term_named(self, tmp_path):
         pairs, vocab = tiny_corpus()
