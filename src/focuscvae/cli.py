@@ -14,12 +14,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, training
 from .config import TrainConfig, VARIANTS, uses_latent
-from .corpus import (EOS_ID, Vocabulary, generate_synthetic, load_jsonl, save_jsonl,
-                     split_records, to_pairs)
+from .corpus import (Vocabulary, generate_synthetic, load_jsonl, save_jsonl, split_records,
+                     to_pairs)
 from .errors import CompatibilityError, ConfigError, FocusCVAEError
 from .model import FocusCVAE
 from .training import load_checkpoint, restore_model
@@ -55,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="sample responses for every post in a corpus")
     gen.add_argument("--checkpoint", type=Path, required=True)
     gen.add_argument("--corpus", type=Path, required=True, help="posts to respond to")
-    gen.add_argument("--vocab", type=Path, default=None)
+    gen.add_argument("--vocab", type=Path, default=None,
+                     help="vocabulary JSON (default: vocab.json next to the corpus)")
     gen.add_argument("--out", type=Path, required=True)
     gen.add_argument("--n-samples", type=int, default=3)
     gen.add_argument("--max-len", type=int, default=None,
@@ -65,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="generate for a held-out corpus and score it")
     ev.add_argument("--checkpoint", type=Path, required=True)
     ev.add_argument("--corpus", type=Path, required=True)
-    ev.add_argument("--vocab", type=Path, default=None)
+    ev.add_argument("--vocab", type=Path, default=None,
+                     help="vocabulary JSON (default: vocab.json next to the corpus)")
     ev.add_argument("--out", type=Path, required=True)
     ev.add_argument("--n-samples", type=int, default=3)
     ev.add_argument("--max-len", type=int, default=None)
@@ -162,7 +162,7 @@ def cmd_train(args) -> int:
 def _model_for_inference(args) -> tuple[FocusCVAE, Vocabulary, int]:
     state = load_checkpoint(_require(args.checkpoint, "checkpoint"))
     _require(args.corpus, "corpus")
-    vocab = _load_vocab(args.vocab, args.checkpoint)
+    vocab = _load_vocab(args.vocab, args.corpus)
     if len(vocab) != state.config.vocab_size:
         raise CompatibilityError(
             f"vocabulary of {len(vocab)} vs checkpoint trained for {state.config.vocab_size}")
@@ -179,31 +179,28 @@ def _model_for_inference(args) -> tuple[FocusCVAE, Vocabulary, int]:
 def cmd_generate(args) -> int:
     model, vocab, max_len = _model_for_inference(args)
     records = load_jsonl(args.corpus)
+    posts = [vocab.encode(r.post) for r in records]
+    generated = evaluation.generate_samples(model, posts, args.n_samples, args.seed, max_len)
     args.out.mkdir(parents=True, exist_ok=True)
     align_dir = args.out / "alignment"
     align_dir.mkdir(exist_ok=True)
 
-    latent = uses_latent(model.cfg.variant)
     with open(args.out / "generations.jsonl", "w") as fh:
         for i, record in enumerate(records):
-            post_ids = vocab.encode(record.post)
-            rng = np.random.default_rng([args.seed, 3, i])
-            results = model.generate(post_ids, args.n_samples, rng, max_len)
             samples = []
-            for j, res in enumerate(results):
-                tokens = vocab.decode([t for t in res.token_ids if t != EOS_ID])
-                entry = {
-                    "tokens": tokens,
+            for j in range(args.n_samples):
+                res = generated[(i, j)]
+                samples.append({
+                    "tokens": vocab.decode(list(evaluation.strip_terminals(res.token_ids))),
                     "focus": None if res.focus is None else [float(v) for v in res.focus],
                     "coverage_over_len": None if res.alignment is None
                     else [float(v) for v in res.alignment.coverage_over_len],
-                }
-                samples.append(entry)
+                })
                 if res.alignment is not None:
                     res.alignment.write_csv(align_dir / f"post{i:04d}_s{j}.csv",
                                             record.post)
             fh.write(json.dumps({"post": record.post, "samples": samples}) + "\n")
-    kind = "prior draws" if latent else "deterministic decoding"
+    kind = "prior draws" if uses_latent(model.cfg.variant) else "deterministic decoding"
     print(f"wrote {len(records)} posts x {args.n_samples} samples ({kind}) to {args.out}")
     return 0
 

@@ -27,8 +27,7 @@ class TrainConfig:
     """Everything a training run needs; round-trips through canonical JSON.
 
     Desk-scale defaults; `paper_init` switches the uniform init range back to
-    [-1, 1].  `grad_clip_norm=0` disables clipping.  The latent size doubles
-    as the embedding width.
+    [-1, 1].  The latent size doubles as the embedding width.
     """
 
     variant: str = "focconstrain"
@@ -41,16 +40,10 @@ class TrainConfig:
     peak_lr: float = 0.002
     kl_anneal_steps: int = 500
     seed: int = 0
-    log_var_min: float = -10.0
-    log_var_max: float = 10.0
     checkpoint_interval: int = 500
-    grad_clip_norm: float = 5.0
     init_scale: float = 0.08
     paper_init: bool = False
     n_latent_samples: int = 1
-    context_uses_augmented: bool = False
-    s0_uses_latent: bool = True
-    w_seq: float = 1.0
     w_foc: float = 1.0
     w_bow: float = 1.0
 
@@ -69,10 +62,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.peak_lr <= 0:
             raise ConfigError("peak_lr must be positive")
-        if self.log_var_min >= self.log_var_max:
-            raise ConfigError("log_var_min must be below log_var_max")
-        if self.grad_clip_norm < 0:
-            raise ConfigError("grad_clip_norm must be >= 0 (0 disables clipping)")
         return self
 
     @property

@@ -99,7 +99,6 @@ class GenerationResult:
     focus: np.ndarray | None        # [T] over unmasked post positions, None for s2s
     coverage: np.ndarray            # [T] accumulated attention over unmasked positions
     alignment: AlignmentRecord | None
-    z_source: str                   # "prior" | "none"
 
     @property
     def length(self) -> int:
@@ -107,8 +106,8 @@ class GenerationResult:
 
 
 def greedy_decode(setup: AttentionSetup, emb_table: Tensor, w: DecoderWeights,
-                  init: list[Tensor], max_len: int, focus_rows: np.ndarray | None,
-                  z_source: str) -> list[GenerationResult]:
+                  init: list[Tensor], max_len: int, focus_rows: np.ndarray | None
+                  ) -> list[GenerationResult]:
     """Greedy argmax decoding for a batch of rows; halts rows at their first EOS.
 
     The argmax never picks PAD, which only fills the steps of finished rows.
@@ -152,5 +151,5 @@ def greedy_decode(setup: AttentionSetup, emb_table: Tensor, w: DecoderWeights,
             alignment = coverage_report(cov_row, n, focus_row)
         else:
             focus_row, alignment = None, None
-        results.append(GenerationResult(tokens, focus_row, cov_row, alignment, z_source))
+        results.append(GenerationResult(tokens, focus_row, cov_row, alignment))
     return results

@@ -18,6 +18,10 @@ from . import autodiff as ad
 from .autodiff import GRUCellWeights, Tensor, gru_cell
 from .errors import DimensionError, PhaseError, ValidationError
 
+# clamp on every emitted log-variance, so exp(log_var) stays finite
+LOG_VAR_MIN = -10.0
+LOG_VAR_MAX = 10.0
+
 
 @dataclass
 class AffineWeights:
@@ -144,46 +148,39 @@ class GaussianParams:
 class LatentSample:
     z: Tensor
     eps: np.ndarray
-    source: str  # "recognition" | "prior"
 
 
-def _gaussian_head(x: Tensor, w: AffineWeights, d_z: int,
-                   clamp_lo: float, clamp_hi: float) -> GaussianParams:
+def _gaussian_head(x: Tensor, w: AffineWeights, d_z: int) -> GaussianParams:
     out = affine(x, w)
     if out.shape[1] != 2 * d_z:
         raise DimensionError(f"gaussian head emits {out.shape[1]} columns, expected {2 * d_z}")
     mu = ad.narrow(out, 1, 0, d_z)
-    log_var = ad.clamp(ad.narrow(out, 1, d_z, d_z), clamp_lo, clamp_hi)
+    log_var = ad.clamp(ad.narrow(out, 1, d_z, d_z), LOG_VAR_MIN, LOG_VAR_MAX)
     return GaussianParams(mu, log_var)
 
 
 def recognition(pooled_post: Tensor, pooled_resp: Tensor | None, w: AffineWeights,
-                d_z: int, clamp_lo: float = -10.0, clamp_hi: float = 10.0) -> GaussianParams:
+                d_z: int) -> GaussianParams:
     """q(z | x, y) from the concatenated pooled encodings. Training only."""
     if pooled_resp is None:
         raise PhaseError("recognition needs a response encoding; use the prior at inference")
-    return _gaussian_head(ad.concat([pooled_post, pooled_resp], axis=1), w, d_z, clamp_lo, clamp_hi)
+    return _gaussian_head(ad.concat([pooled_post, pooled_resp], axis=1), w, d_z)
 
 
-def prior(pooled_post: Tensor, w: AffineWeights, d_z: int,
-          clamp_lo: float = -10.0, clamp_hi: float = 10.0) -> GaussianParams:
+def prior(pooled_post: Tensor, w: AffineWeights, d_z: int) -> GaussianParams:
     """p(z | x) from the pooled post encoding alone."""
-    return _gaussian_head(pooled_post, w, d_z, clamp_lo, clamp_hi)
+    return _gaussian_head(pooled_post, w, d_z)
 
 
-def sample(params: GaussianParams, rng: np.random.Generator | None = None,
-           eps: np.ndarray | None = None, source: str = "recognition") -> LatentSample:
-    """Reparameterized draw z = mu + exp(log_var / 2) * eps."""
-    if eps is None:
-        if rng is None:
-            raise ValidationError("sample needs either an rng or a frozen eps")
-        eps = rng.standard_normal(params.mu.shape)
+def sample(params: GaussianParams, eps: np.ndarray) -> LatentSample:
+    """Reparameterized draw z = mu + exp(log_var / 2) * eps; the caller owns
+    the noise stream."""
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != params.mu.shape:
         raise DimensionError(f"eps shape {eps.shape} does not match mu shape {params.mu.shape}")
     std = ad.exp(ad.mul(params.log_var, 0.5))
     z = ad.add(params.mu, ad.mul(std, Tensor(eps)))
-    return LatentSample(z, eps, source)
+    return LatentSample(z, eps)
 
 
 def kl_divergence(q: GaussianParams, p: GaussianParams) -> Tensor:

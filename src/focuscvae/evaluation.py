@@ -1,4 +1,4 @@
-"""Corpus-level generation metrics and the held-out evaluation driver.
+"""The sampler, corpus-level generation metrics and the held-out evaluation driver.
 
 BLEU here is the corpus variant: n-gram counts are clipped against the
 per-post reference maximum, pooled over every generated sample, with the
@@ -18,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import uses_latent
 from .corpus import EOS_ID, PAD_ID, PostRecord, Vocabulary
+from .decoder import GenerationResult
 from .errors import CompatibilityError, EvaluationError, ValidationError
 from .model import FocusCVAE
 
@@ -121,11 +123,16 @@ class EvalReport:
         return json.dumps(rounded, sort_keys=True, separators=(",", ":"))
 
 
-def _generate_all(model: FocusCVAE, posts: list[np.ndarray], n_samples: int,
-                  seed: int, max_len: int, chunk_rows: int):
-    """Greedy samples for every (post, sample) job, batched in row chunks."""
-    from .config import uses_latent
+def generate_samples(model: FocusCVAE, posts: list[np.ndarray], n_samples: int,
+                     seed: int, max_len: int, chunk_rows: int = 192
+                     ) -> dict[tuple[int, int], GenerationResult]:
+    """Greedy samples for every (post i, sample j) job, batched in row chunks.
 
+    Latent noise for job (i, j) comes from the stream [seed, 3, i, j], so a
+    sample depends on neither the chunking nor the other posts.
+    """
+    if n_samples < 1 or max_len < 1 or chunk_rows < 1:
+        raise ValidationError("n_samples, max_len and chunk_rows must be positive")
     jobs = [(i, j) for i in range(len(posts)) for j in range(n_samples)]
     latent = uses_latent(model.cfg.variant)
     results = {}
@@ -160,12 +167,10 @@ def evaluate(model: FocusCVAE, vocab: Vocabulary, records: list[PostRecord],
             f"vocabulary of {len(vocab)} vs model trained for {model.cfg.vocab_size}")
     if not records:
         raise ValidationError("evaluation needs at least one post")
-    if n_samples < 1 or max_len < 1:
-        raise ValidationError("n_samples and max_len must be positive")
 
     posts = [vocab.encode(r.post) for r in records]
     refs_per_post = [[tuple(vocab.encode(resp)) for resp in r.responses] for r in records]
-    generated = _generate_all(model, posts, n_samples, seed, max_len, chunk_rows)
+    generated = generate_samples(model, posts, n_samples, seed, max_len, chunk_rows)
 
     samples: list[SampleRow] = []
     hyps_per_post: list[list[Seq]] = [[] for _ in posts]

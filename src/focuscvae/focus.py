@@ -106,7 +106,6 @@ class AttentionSetup:
 
 def build_attention(states_flat: Tensor, aug_flat: Tensor | None, post_mask: np.ndarray,
                     w: AttentionWeights, variant: str,
-                    context_uses_augmented: bool = False,
                     focus: Tensor | None = None) -> AttentionSetup:
     """Precompute the step-independent attention terms.
 
@@ -117,11 +116,10 @@ def build_attention(states_flat: Tensor, aug_flat: Tensor | None, post_mask: np.
     use_cov = uses_coverage_term(variant)
     if use_cov and w.V_a is None:
         raise ValidationError(f"variant {variant!r} needs coverage weights V_a")
-    context_src = attended if context_uses_augmented else states_flat
     return AttentionSetup(
         base=ad.matmul(attended, w.W_a),
         attended_flat=attended,
-        context_flat=context_src,
+        context_flat=states_flat,
         post_mask=np.asarray(post_mask, dtype=bool),
         weights=w,
         use_coverage=use_cov,

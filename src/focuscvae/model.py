@@ -96,8 +96,8 @@ class FocusCVAE:
         if latent:
             self.attention.W_a.data[-1] *= ATTN_FOCUS_GAIN
 
-        d_cond = d_h + (d_z if latent and cfg.s0_uses_latent else 0)
-        d_ctx = d_states if cfg.context_uses_augmented else d_h + (d_emb if latent else 0)
+        d_cond = d_h + (d_z if latent else 0)
+        d_ctx = d_h + (d_emb if latent else 0)
         self.decoder = init_decoder_weights(rng, d_emb, d_h, d_cond, d_ctx, vocab, scale)
 
     # -- parameters ---------------------------------------------------------
@@ -141,14 +141,12 @@ class FocusCVAE:
 
     def latent_posterior(self, post_enc: EncoderOutputs, resp_enc: EncoderOutputs
                          ) -> tuple[GaussianParams, GaussianParams]:
-        cfg = self.cfg
-        q = recognition(post_enc.pooled, resp_enc.pooled, self.recognition, cfg.d_z,
-                        cfg.log_var_min, cfg.log_var_max)
-        p = prior(post_enc.pooled, self.prior, cfg.d_z, cfg.log_var_min, cfg.log_var_max)
+        q = recognition(post_enc.pooled, resp_enc.pooled, self.recognition, self.cfg.d_z)
+        p = prior(post_enc.pooled, self.prior, self.cfg.d_z)
         return q, p
 
     def _conditioning(self, post_enc: EncoderOutputs, z: Tensor | None) -> Tensor:
-        if z is not None and self.cfg.s0_uses_latent:
+        if z is not None:
             return ad.concat([post_enc.pooled, z], axis=1)
         return post_enc.pooled
 
@@ -157,8 +155,7 @@ class FocusCVAE:
                          ) -> tuple[Tensor | None, AttentionSetup]:
         if z is None:
             setup = build_attention(post_enc.states_flat, None, post_mask,
-                                    self.attention, self.cfg.variant,
-                                    self.cfg.context_uses_augmented)
+                                    self.attention, self.cfg.variant)
             return None, setup
         # each position is annotated with its word embedding as well as its
         # encoder state; the focus keys and the attention context read both,
@@ -168,8 +165,7 @@ class FocusCVAE:
         f = focus_generate(annotated, post_mask, z, self.focus)
         aug = augment_with_focus(post_enc.states_flat, f)
         setup = build_attention(annotated, aug, post_mask,
-                                self.attention, self.cfg.variant,
-                                self.cfg.context_uses_augmented, focus=f)
+                                self.attention, self.cfg.variant, focus=f)
         return f, setup
 
     def forward_train(self, batch: Batch, eps: np.ndarray | None) -> ForwardPass:
@@ -178,7 +174,7 @@ class FocusCVAE:
         if uses_latent(self.cfg.variant):
             resp_enc = self.encode_sequences(batch.resp_ids, batch.resp_mask)
             q, p = self.latent_posterior(post_enc, resp_enc)
-            lat = sample(q, eps=eps, source="recognition")
+            lat = sample(q, eps)
             z = lat.z
         else:
             q = p = lat = z = None
@@ -203,29 +199,13 @@ class FocusCVAE:
         if uses_latent(self.cfg.variant):
             if eps_rows is None:
                 raise ValidationError("latent variants need one eps row per generation")
-            p = prior(post_enc.pooled, self.prior, self.cfg.d_z,
-                      self.cfg.log_var_min, self.cfg.log_var_max)
-            lat = sample(p, eps=eps_rows, source="prior")
-            z, z_source = lat.z, "prior"
+            p = prior(post_enc.pooled, self.prior, self.cfg.d_z)
+            z = sample(p, eps_rows).z
         else:
             if eps_rows is not None:
                 raise ValidationError("s2s takes no latent draws")
-            z, z_source = None, "none"
+            z = None
         f, setup = self._focus_and_setup(post_enc, post_ids, post_mask, z)
         init = initial_states(self._conditioning(post_enc, z), self.decoder)
         focus_rows = f.data if f is not None else None
-        return greedy_decode(setup, self.embedding, self.decoder, init, max_len,
-                             focus_rows, z_source)
-
-    def generate(self, post: np.ndarray, n_samples: int, rng: np.random.Generator,
-                 max_len: int) -> list[GenerationResult]:
-        """n greedy samples for a single post, one prior draw each."""
-        if n_samples < 1:
-            raise ValidationError("n_samples must be positive")
-        post = np.asarray(post, dtype=np.int64).reshape(1, -1)
-        ids = np.repeat(post, n_samples, axis=0)
-        mask = np.ones_like(ids, dtype=bool)
-        eps = None
-        if uses_latent(self.cfg.variant):
-            eps = rng.standard_normal((n_samples, self.cfg.d_z))
-        return self.generate_rows(ids, mask, eps, max_len)
+        return greedy_decode(setup, self.embedding, self.decoder, init, max_len, focus_rows)

@@ -19,7 +19,7 @@ from focuscvae import evaluation as ev
 from focuscvae import training as tr
 from focuscvae.autodiff import Tensor
 from focuscvae.config import TrainConfig, uses_latent
-from focuscvae.corpus import (EOS_ID, PAD_ID, GrammarConfig, PostResponsePair,
+from focuscvae.corpus import (EOS_ID, GrammarConfig, PostResponsePair,
                               collate, content_for_keyword, generate_synthetic,
                               split_records, to_pairs)
 from focuscvae.encoders import GaussianParams, kl_divergence
@@ -40,28 +40,6 @@ DESK = dict(d_h=64, d_z=32, batch_size=32, total_steps=3000, peak_lr=0.004,
 
 def desk_config(variant: str, vocab_len: int) -> TrainConfig:
     return TrainConfig(variant=variant, vocab_size=vocab_len, seed=0, **DESK)
-
-
-def batched_samples(model, posts, n_samples: int, seed: int, max_len: int,
-                    chunk_rows: int = 192):
-    """Greedy prior samples for every (post, sample) pair, eval-style noise:
-    eps for (post i, sample j) comes from the stream [seed, 3, i, j]."""
-    jobs = [(i, j) for i in range(len(posts)) for j in range(n_samples)]
-    out = {}
-    for lo in range(0, len(jobs), chunk_rows):
-        part = jobs[lo:lo + chunk_rows]
-        width = max(len(posts[i]) for i, _ in part)
-        ids = np.full((len(part), width), PAD_ID, dtype=np.int64)
-        mask = np.zeros((len(part), width), dtype=bool)
-        for r, (i, _) in enumerate(part):
-            ids[r, :len(posts[i])] = posts[i]
-            mask[r, :len(posts[i])] = True
-        eps = np.stack([
-            np.random.default_rng([seed, 3, i, j]).standard_normal(model.cfg.d_z)
-            for i, j in part])
-        for (i, j), res in zip(part, model.generate_rows(ids, mask, eps, max_len)):
-            out[(i, j)] = res
-    return out
 
 
 @pytest.fixture(scope="session")
@@ -295,7 +273,7 @@ def test_criterion_8_determinism_and_exact_resume(desk):
 def test_trained_focus_argmax_moves_with_the_latent(desk):
     model = desk.runs["focconstrain"].model
     sub = desk.posts[:200]
-    gen = batched_samples(model, sub, 3, 0, desk.max_len)
+    gen = ev.generate_samples(model, sub, 3, 0, desk.max_len)
     vary = sum(
         1 for i in range(len(sub))
         if len({int(np.argmax(gen[(i, j)].focus)) for j in range(3)}) >= 2)
@@ -308,7 +286,7 @@ def test_trained_content_matches_the_focused_slot(desk):
     model = desk.runs["focconstrain"].model
     vocab = desk.vocab
     sub = desk.posts[:200]
-    gen = batched_samples(model, sub, 3, 0, desk.max_len)
+    gen = ev.generate_samples(model, sub, 3, 0, desk.max_len)
     hits = 0
     for i, post in enumerate(sub):
         tokens = vocab.decode(post.tolist())
@@ -333,7 +311,7 @@ def test_focus_penalty_halves_during_training(desk):
 
 def test_alignment_gap_equals_brute_force_recount(desk):
     model = desk.runs["focconstrain"].model
-    gen = batched_samples(model, desk.posts, 3, 0, desk.max_len)
+    gen = ev.generate_samples(model, desk.posts, 3, 0, desk.max_len)
     recounted = []
     for (_, _), res in sorted(gen.items()):
         total = 0.0

@@ -1,6 +1,8 @@
 """End-to-end runs of every subcommand through main()."""
 
+import csv
 import json
+import math
 
 import pytest
 
@@ -99,6 +101,50 @@ def test_eval_prints_canonical_report(workspace, tmp_path, capsys):
     report = json.loads(printed)
     assert report["n_samples"] == 2 and 0.0 <= report["bleu_1"] <= 1.0
     assert (out / "samples.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def sampled(workspace):
+    """generate and eval at one seed on one checkpoint, vocabulary by default."""
+    data, run = workspace / "data", workspace / "run"
+    out = workspace / "sampled"
+    codes = [main([command, "--checkpoint", str(run / "checkpoint.bin"),
+                   "--corpus", str(data / "test.jsonl"), "--out", str(out / command),
+                   "--n-samples", "3", "--seed", "5"])
+             for command in ("generate", "eval")]
+    return out, codes
+
+
+def test_vocab_defaults_to_the_corpus_directory(sampled):
+    _, codes = sampled
+    assert codes == [0, 0]
+
+
+def test_generate_and_eval_draw_the_same_samples(sampled):
+    out, _ = sampled
+    posts = [json.loads(l) for l in (out / "generate" / "generations.jsonl").read_text().splitlines()]
+    with open(out / "eval" / "samples.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(posts) * 3
+    for row in rows:
+        sample = posts[int(row["post_id"])]["samples"][int(row["sample_id"])]
+        assert " ".join(sample["tokens"]) == row["tokens"]
+        total = 0.0
+        for c, f in zip(sample["coverage_over_len"], sample["focus"]):
+            total += (c - f) * (c - f)
+        assert math.sqrt(total) == float(row["alignment_gap"])
+
+
+def test_generate_checks_its_sizes(workspace, tmp_path, capsys):
+    data, run = workspace / "data", workspace / "run"
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    args = ["generate", "--checkpoint", str(run / "checkpoint.bin"),
+            "--vocab", str(data / "vocab.json"), "--out", str(tmp_path / "gen")]
+    assert main(args + ["--corpus", str(data / "test.jsonl"), "--n-samples", "0"]) == 1
+    assert "n_samples" in capsys.readouterr().err
+    assert main(args + ["--corpus", str(empty)]) == 0
+    assert (tmp_path / "gen" / "generations.jsonl").read_text() == ""
 
 
 def test_gradcheck_exits_zero_on_pass(capsys):

@@ -207,3 +207,11 @@ class TestEvaluate:
         model, vocab, _ = tiny_world
         with pytest.raises(ValidationError):
             ev.evaluate(model, vocab, [], n_samples=1, seed=0, max_len=4)
+
+    @pytest.mark.parametrize("n_samples,max_len,chunk_rows", [(0, 4, 8), (1, 0, 8), (1, 4, 0)])
+    def test_sampler_rejects_non_positive_sizes(self, tiny_world, n_samples, max_len,
+                                                chunk_rows):
+        model, vocab, test = tiny_world
+        posts = [vocab.encode(r.post) for r in test]
+        with pytest.raises(ValidationError):
+            ev.generate_samples(model, posts, n_samples, 0, max_len, chunk_rows=chunk_rows)

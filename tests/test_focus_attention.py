@@ -75,14 +75,13 @@ def test_augment_appends_focus_column():
 
 
 def run_attention_steps(rng, variant, n_steps, b=2, t=4, d_h=6, seed_states=None,
-                        update_masks=None, context_uses_augmented=False):
+                        update_masks=None):
     states = seed_states if seed_states is not None else random_states(rng, b, t, d_h)
     focus = Tensor(np.random.default_rng(99).dirichlet(np.ones(t), size=b))
     aug = augment_with_focus(states, focus) if variant != "s2s" else None
     d_states = d_h + 1 if variant != "s2s" else d_h
     w = make_attention_weights(rng, d_states, d_h, d_h, coverage=variant in ("foccoverage", "focconstrain"))
-    setup = build_attention(states, aug, np.ones((b, t), dtype=bool), w, variant,
-                            context_uses_augmented=context_uses_augmented)
+    setup = build_attention(states, aug, np.ones((b, t), dtype=bool), w, variant)
     cov = CoverageVector.fresh(b, t)
     alphas, contexts = [], []
     for step in range(1, n_steps + 1):
@@ -166,12 +165,6 @@ def test_context_is_attention_weighted_sum_of_original_states():
     manual = np.einsum("bt,btd->bd", alphas[0].data, states.data.reshape(b, t, d_h))
     np.testing.assert_allclose(contexts[0].data, manual, atol=1e-12)
     assert contexts[0].shape == (b, d_h)
-
-
-def test_context_width_flips_with_config():
-    rng = np.random.default_rng(11)
-    _, contexts, _, _ = run_attention_steps(rng, "focconstrain", 1, context_uses_augmented=True)
-    assert contexts[0].shape[1] == 7  # d_h + focus column
 
 
 def test_update_mask_freezes_rows():
