@@ -11,11 +11,13 @@ scalar against tensor.  Row/column broadcasts needed by the model go through
 dedicated primitives (bias_add, scale_rows, repeat_rows, sum_groups) so each
 backward rule stays a couple of lines.
 
-The one fused primitive is `gru_cell`: a whole GRU step, with the encoder's
-masked carry folded in, is a single node whose hand-written backward
-reproduces the gradients of the op-by-op composition bit for bit.  A
-training step's cost is mostly Python overhead per node, not arithmetic, so
-this cuts a `focconstrain` step from 2,164 nodes to 356.
+Two primitives fuse a recurrence, and both share one definition of a GRU
+step's arithmetic.  `gru_cell` is one step (the decoder's); `bigru_layer`
+is a whole bidirectional encoder layer, both directions stepping in
+lockstep.  `masked_mean` pools the encoder states.  Their hand-written
+backward passes reproduce the gradients of the op-by-op composition bit
+for bit.  A `focconstrain` training step records 217 nodes with them,
+against 2,164 op by op.
 """
 
 from __future__ import annotations
@@ -155,11 +157,15 @@ class Tape:
                 t.grad = g if t.grad is None else t.grad + g
 
 
+def _recording(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op over these inputs would be recorded on the tape now."""
+    return Tape.current is not None and any(t.requires_grad for t in inputs)
+
+
 def _record(inputs: tuple[Tensor, ...], out: Tensor, backward) -> Tensor:
-    tape = Tape.current
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         out.requires_grad = True
-        tape.nodes.append(_Node(inputs, out, backward))
+        Tape.current.nodes.append(_Node(inputs, out, backward))
     return out
 
 
@@ -365,6 +371,31 @@ def scale_rows(x: Tensor, s: Tensor) -> Tensor:
     return _record((x, s), out, backward)
 
 
+def masked_mean(x: Tensor, mask) -> Tensor:
+    """Mean over the unmasked positions of each row.
+
+    x is [B, T*d] with position t in columns t*d:(t+1)*d, and mask is [B, T]
+    of 0/1 with a 1 in every row; the result is [B, d].  Positions are added
+    left to right after masking, then the sum is scaled by 1/count, the same
+    arithmetic as a chain of scale_rows and add nodes.
+    """
+    m = np.asarray(mask, dtype=np.float64)
+    if (x.data.ndim != 2 or m.ndim != 2 or m.shape[0] != x.shape[0] or m.shape[1] == 0
+            or x.shape[1] % m.shape[1]):
+        raise DimensionError(f"masked_mean: shapes {x.shape} and {m.shape} do not conform")
+    if not m.any(axis=1).all():
+        raise MaskError("masked_mean: a row has every position masked")
+    b, t = m.shape
+    d = x.shape[1] // t
+    cols = x.data.reshape(b, t, d)
+    inv = 1.0 / m.sum(axis=1, keepdims=True)
+    acc = cols[:, 0] * m[:, :1]
+    for i in range(1, t):
+        acc = acc + cols[:, i] * m[:, i:i + 1]
+    out = Tensor(acc * inv)
+    return _record((x,), out, lambda g: (((g * inv)[:, None, :] * m[:, :, None]).reshape(x.shape),))
+
+
 def sum_cols(x: Tensor) -> Tensor:
     """[n, d] -> [n, 1] row sums."""
     if x.data.ndim != 2:
@@ -467,7 +498,7 @@ def log_softmax(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# GRU cell
+# GRU: one step's arithmetic, a one-step cell and a bidirectional layer
 
 
 @dataclass
@@ -489,25 +520,107 @@ class GRUCellWeights:
                 ("W_u", "U_u", "b_u", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")}
 
 
-def _sigmoid(d: Array) -> Array:
-    """Logistic function, evaluated on the side that keeps exp() bounded."""
-    e = np.exp(-np.abs(d))
-    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+# the order in which a step's backward lists its weights' gradient parts
+_STEP_WEIGHT_ORDER = ("W_h", "U_h", "b_h", "W_r", "U_r", "b_r", "W_u", "U_u", "b_u")
 
 
-def _check_gru_shapes(x: Tensor, h_prev: Tensor, w: GRUCellWeights, keep: Array | None) -> None:
-    if x.data.ndim != 2 or h_prev.data.ndim != 2 or x.shape[0] != h_prev.shape[0]:
-        raise DimensionError(
-            f"gru_cell: input {x.shape} and state {h_prev.shape} need 2-d operands with equal rows")
-    d_in, d_h = x.shape[1], h_prev.shape[1]
+def _sigmoid(d: Array, out: Array | None = None) -> Array:
+    """Logistic function, evaluated on the side that keeps exp() bounded:
+    1/(1+e) where d >= 0 and e/(1+e) elsewhere, with e = exp(-|d|).  out
+    may be d itself."""
+    pos = d >= 0.0
+    e = np.abs(d, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, pos)  # 1 where d >= 0, else e, since 0 <= e <= 1
+    e += 1.0
+    return np.divide(num, e, out=e)
+
+
+def _gru_step(xw: Array, h: Array, U: Array, b: Array,
+              keep: Array | None, drop: Array | None) -> tuple[Array, Array, Array, Array]:
+    """One GRU step on arrays: the one definition of its forward arithmetic,
+    for `gru_cell` and `bigru_layer` alike.
+
+    h is [..., B, u], and U stacks (U_u, U_r, U_h) on a new first axis.
+    xw stacks the input projections (x W_u, x W_r, x W_h) the same way, and
+    b the biases (b_u, b_r, b_h), each [..., 1, u].  keep and drop = 1 - keep
+    are [..., B, 1] mask columns, or None.  Leading axes stack independent
+    cells, as `bigru_layer` stacks its two directions: every product is
+    still one 2-d matmul per cell and the rest is elementwise, so stacking
+    changes no bit.  Returns (h', ur, c, 1 - u), where ur stacks u and r.
+    """
+    ur = h @ U[:2]
+    ur += xw[:2]
+    ur += b[:2]
+    _sigmoid(ur, out=ur)
+    u, r = ur
+    c = (r * h) @ U[2]
+    c += xw[2]
+    c += b[2]
+    np.tanh(c, out=c)
+    omu = 1.0 - u
+    h_new = omu * h
+    h_new += u * c
+    if keep is not None:
+        # masked carry: a row whose keep is 0 passes its state through
+        h_new *= keep
+        h_new += h * drop
+    return h_new, ur, c, omu
+
+
+def _gru_step_grads(g: Array, h: Array, ur: Array, c: Array, omu: Array,
+                    keep: Array | None, drop: Array | None, U: Array, dg: Array,
+                    h_parts: bool) -> list[Array]:
+    """Backward of `_gru_step` for the gradient g of h'.
+
+    Writes the gradients of the three pre-activations (u, r, candidate) into
+    dg[0], dg[1], dg[2] and returns, if h_parts, the parts of h's gradient in
+    the order the op-by-op composition's tape added them: carry (masked
+    steps only), (1-u)*h, r*h, U_r, U_u.
+    """
+    u, r = ur
+    du, dr, dc = dg
+    U_T = np.swapaxes(U, -1, -2)
+    parts = []
+    if keep is not None:
+        if h_parts:
+            parts.append(g * drop)
+        g = g * keep
+    if h_parts:
+        parts.append(g * omu)
+    np.multiply(g, c, out=du)          # through u*c, then through (1-u)*h
+    du -= g * h
+    np.multiply(g, u, out=dc)
+    dc *= 1.0 - c * c                  # pre-tanh
+    drh = dc @ U_T[2]
+    if h_parts:
+        parts.append(drh * r)
+    np.multiply(drh, h, out=dr)
+    dr *= r
+    dr *= 1.0 - r                      # pre-sigmoid
+    if h_parts:
+        parts.append(dr @ U_T[1])
+    du *= u
+    du *= omu                          # pre-sigmoid
+    if h_parts:
+        parts.append(du @ U_T[0])
+    return parts
+
+
+def _check_cell(op: str, w: GRUCellWeights, d_in: int, d_h: int, context: str) -> None:
     expected = {"W": (d_in, d_h), "U": (d_h, d_h), "b": (d_h,)}
     for f in fields(w):
         shape, want = getattr(w, f.name).shape, expected[f.name[0]]
         if shape != want:
-            raise DimensionError(f"gru_cell: {f.name} has shape {shape}, expected {want} "
-                                 f"for input {x.shape} and state {h_prev.shape}")
-    if keep is not None and keep.shape != (x.shape[0], 1):
-        raise DimensionError(f"gru_cell: keep has shape {keep.shape}, expected ({x.shape[0]}, 1)")
+            raise DimensionError(f"{op}: {f.name} has shape {shape}, expected {want} for {context}")
+
+
+def _gate_stacks(cells: Sequence[GRUCellWeights]) -> tuple[Array, Array, Array]:
+    """W, U and b of the cells as [gate u/r/h, cell, ...] arrays."""
+    return tuple(np.stack([getattr(w, f"{kind}_{gate}").data for gate in "urh" for w in cells])
+                 .reshape((3, len(cells)) + getattr(cells[0], f"{kind}_u").shape)
+                 for kind in "WUb")
 
 
 def gru_cell(x: Tensor, h_prev: Tensor, w: GRUCellWeights,
@@ -523,58 +636,144 @@ def gru_cell(x: Tensor, h_prev: Tensor, w: GRUCellWeights,
     h'*keep + h*(1-keep), so a row whose keep is 0 (a PAD position) carries
     its state through unchanged.
 
-    The forward evaluates the same numpy expressions, in the same order, as
-    the composition of primitives (matmul, add, bias_add, sigmoid, tanh, mul,
-    neg, scale_rows) it replaces, and the backward applies each of their
-    rules in reverse recording order.  Each input is listed in the node once
-    per gradient part, in the order that composition's tape added the parts
-    (x: W_h, W_r, W_u; h_prev: carry, (1-u)*h, r*h, U_r, U_u), so outputs and
-    gradients are bit-identical to it.
+    The step (`_gru_step`) computes every value of the composition of
+    primitives (matmul, add, bias_add, sigmoid, tanh, mul, neg, scale_rows)
+    it replaces with the same rounding, and its backward (`_gru_step_grads`)
+    applies each of their rules in reverse recording order.  Each input is
+    listed in the node once per gradient part, in the order that
+    composition's tape added the parts (x: W_h, W_r, W_u; h_prev: carry,
+    (1-u)*h, r*h, U_r, U_u), so outputs and gradients are bit-identical to
+    it.
 
     With all-zero weights this halves h_prev (u = 0.5, c = 0), which the
     tests pin down as the convention check.
     """
-    _check_gru_shapes(x, h_prev, w, keep)
+    if x.data.ndim != 2 or h_prev.data.ndim != 2 or x.shape[0] != h_prev.shape[0]:
+        raise DimensionError(
+            f"gru_cell: input {x.shape} and state {h_prev.shape} need 2-d operands with equal rows")
+    _check_cell("gru_cell", w, x.shape[1], h_prev.shape[1],
+                f"input {x.shape} and state {h_prev.shape}")
+    if keep is not None and keep.shape != (x.shape[0], 1):
+        raise DimensionError(f"gru_cell: keep has shape {keep.shape}, expected ({x.shape[0]}, 1)")
     xd, h = x.data, h_prev.data
-    W_u, U_u, W_r, U_r, W_h, U_h = (t.data for t in (w.W_u, w.U_u, w.W_r, w.U_r, w.W_h, w.U_h))
-    u = _sigmoid((xd @ W_u + h @ U_u) + w.b_u.data)
-    r = _sigmoid((xd @ W_r + h @ U_r) + w.b_r.data)
-    rh = r * h
-    c = np.tanh((xd @ W_h + rh @ U_h) + w.b_h.data)
-    omu = (-u) + 1.0
-    h_new = omu * h + u * c
-    if keep is not None:
-        drop = 1.0 - keep
-        h_new = h_new * keep + h * drop
+    W, U, b = (s[:, 0] for s in _gate_stacks([w]))
+    drop = None if keep is None else 1.0 - keep
+    h_new, ur, c, omu = _gru_step(xd @ W, h, U, b[:, None], keep, drop)
     x_rg, h_rg = x.requires_grad, h_prev.requires_grad
 
     def backward(g: Array):
-        h_parts = []
-        if keep is not None:
-            h_parts.append(g * drop if h_rg else None)
-            g = g * keep
-        h_parts.append(g * omu if h_rg else None)
-        du = g * c - g * h                 # through u*c, then through (1-u)*h
-        dc = (g * u) * (1.0 - c * c)       # pre-tanh
-        drh = dc @ U_h.T
-        h_parts.append(drh * r if h_rg else None)
-        dr = drh * h * r * (1.0 - r)       # pre-sigmoid
-        h_parts.append(dr @ U_r.T if h_rg else None)
-        du = du * u * (1.0 - u)            # pre-sigmoid
-        h_parts.append(du @ U_u.T if h_rg else None)
+        dg = np.empty((3,) + h.shape)
+        h_parts = _gru_step_grads(g, h, ur, c, omu, keep, drop, U, dg, h_rg)
+        du, dr, dc = dg
+        rh = ur[1] * h
         return (
-            dc @ W_h.T if x_rg else None,
-            dr @ W_r.T if x_rg else None,
-            du @ W_u.T if x_rg else None,
-            *h_parts,
+            *(dg[::-1] @ W[::-1].transpose(0, 2, 1) if x_rg else [None] * 3),
+            *(h_parts if h_rg else [None] * n_h),
             xd.T @ dc, rh.T @ dc, dc.sum(axis=0),
             xd.T @ dr, h.T @ dr, dr.sum(axis=0),
             xd.T @ du, h.T @ du, du.sum(axis=0),
         )
 
-    inputs = ((x,) * 3 + (h_prev,) * (4 if keep is None else 5)
-              + (w.W_h, w.U_h, w.b_h, w.W_r, w.U_r, w.b_r, w.W_u, w.U_u, w.b_u))
+    n_h = 4 if keep is None else 5
+    inputs = (x,) * 3 + (h_prev,) * n_h + tuple(getattr(w, n) for n in _STEP_WEIGHT_ORDER)
     return _record(inputs, Tensor(h_new), backward)
+
+
+def bigru_layer(x: Tensor, mask, fwd: GRUCellWeights, bwd: GRUCellWeights) -> Tensor:
+    """A bidirectional GRU layer over a padded batch, recorded as one tape node.
+
+    x is [B, T*d_in], position t in columns t*d_in:(t+1)*d_in, and mask is
+    [B, T] of 0/1.  The output is [B, T*2u]: position t holds the forward
+    state after reading positions 0..t, then the backward state after
+    reading T-1..t.  Each step is `gru_cell`'s arithmetic with the mask
+    column as keep, so a PAD position carries both states through.
+
+    The two directions run in lockstep: step i advances the forward cell at
+    position i and the backward cell at position T-1-i in the same numpy
+    calls, on [2, B, u] stacks, and the input projections of every step are
+    computed before the loop.  The backward loop takes each step's weight
+    and input gradients for both directions and all three gates in one
+    matmul per kind.  It builds no stacks of them over all steps: those
+    temporaries (up to 1.4 MB each) made glibc give heap pages back and
+    fault them in again on every training step.
+
+    Outputs and gradients are bit-identical to the per-step `gru_cell` nodes
+    and per-position `concat` nodes this replaces.  Every stacked product is
+    the same 2-d matmul that composition made, and the node lists its inputs
+    once per gradient part in the order that composition's tape added them:
+    x six times (the backward cell's W_h, W_r, W_u parts, then the forward
+    cell's), then each weight once per step, the backward cell's before the
+    forward cell's, steps from the last to the first.
+    """
+    m = np.asarray(mask)
+    if m.ndim != 2 or m.shape[1] == 0:
+        raise DimensionError(f"bigru_layer: mask must be [B, T] with T > 0, got shape {m.shape}")
+    b, t = m.shape
+    d_in, units = fwd.W_u.shape
+    if x.data.ndim != 2 or x.shape != (b, t * d_in):
+        raise DimensionError(f"bigru_layer: input {x.shape} does not hold {t} positions of "
+                             f"width {d_in} for mask {m.shape}")
+    for cell in (fwd, bwd):
+        _check_cell("bigru_layer", cell, d_in, units, f"input width {d_in} and {units} units")
+
+    # [gate u/r/h, direction, ...], the forward cell first
+    W, U, bias = _gate_stacks([fwd, bwd])
+    bias = bias[:, :, None]
+    # [step, direction, ...]: step i reads position i forward and T-1-i backward
+    xs = x.data.reshape(b, t, d_in).transpose(1, 0, 2)
+    xd = np.stack([xs, xs[::-1]], axis=1)
+    xw = xd[:, None] @ W  # [step, gate, direction, B, u]
+    col = m.T.astype(np.float64)[:, :, None]
+    keep = np.stack([col, col[::-1]], axis=1)
+    drop = 1.0 - keep
+
+    bwd_weights, fwd_weights = (tuple(getattr(cell, n) for n in _STEP_WEIGHT_ORDER)
+                                for cell in (bwd, fwd))
+    inputs = (x,) * 6 + bwd_weights * t + fwd_weights * t
+    recording = _recording(inputs)
+    out = np.empty((b, t, 2, units))
+    h = np.zeros((2, b, units))
+    saved = []  # (h, ur, c, 1 - u) of each step, kept only for a backward pass
+    for i in range(t):
+        h_new, ur, c, omu = _gru_step(xw[i], h, U, bias, keep[i], drop[i])
+        if recording:
+            saved.append((h, ur, c, omu))
+        out[:, i, 0] = h_new[0]
+        out[:, t - 1 - i, 1] = h_new[1]
+        h = h_new
+    x_rg = x.requires_grad
+
+    def backward(g: Array):
+        g4 = g.reshape(b, t, 2, units)
+        W_T = W.transpose(0, 1, 3, 2)
+        # each direction's input gradient as [gate u/r/h, B, position, d_in]
+        px = np.empty((2, 3, b, t, d_in)) if x_rg else None
+        w_grads = [None] * t
+        h_parts = []
+        for i in range(t - 1, -1, -1):
+            # step i's output gradient: its positions' columns, then step
+            # i+1's parts for its state, in the order the tape added them
+            gh = np.stack([g4[:, i, 0], g4[:, t - 1 - i, 1]])
+            for part in h_parts:
+                gh += part
+            h, ur, c, omu = saved[i]
+            dg = np.empty((3, 2, b, units))  # [gate u/r/h, direction, B, u]
+            h_parts = _gru_step_grads(gh, h, ur, c, omu, keep[i], drop[i], U, dg, i > 0)
+            w_grads[i] = (xd[i].transpose(0, 2, 1) @ dg, h.transpose(0, 2, 1) @ dg[:2],
+                          (ur[1] * h).transpose(0, 2, 1) @ dg[2], dg.sum(axis=2))
+            if x_rg:
+                dx = dg @ W_T
+                px[0, :, :, i] = dx[:, 0]
+                px[1, :, :, t - 1 - i] = dx[:, 1]
+        x_parts = [None] * 6
+        if x_rg:
+            x_parts = [px[d, k].reshape(b, t * d_in) for d in (1, 0) for k in (2, 1, 0)]
+        return (*x_parts, *(p for d in (1, 0) for gW, gU, gU_h, gb in w_grads[::-1] for p in (
+            gW[2, d], gU_h[d], gb[2, d],
+            gW[1, d], gU[1, d], gb[1, d],
+            gW[0, d], gU[0, d], gb[0, d])))
+
+    return _record(inputs, Tensor(out.reshape(b, t * 2 * units)), backward)
 
 
 # ---------------------------------------------------------------------------

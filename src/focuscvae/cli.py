@@ -144,7 +144,8 @@ def cmd_train(args) -> int:
         cfg = TrainConfig.from_dict(resume.config.to_dict())
         if args.steps is not None:
             cfg.total_steps = args.steps
-        if args.config is not None or args.variant is not None or args.seed is not None:
+        if (args.config is not None or args.variant is not None or args.seed is not None
+                or args.paper_init):
             raise ConfigError("a resumed run takes its config from the checkpoint; "
                               "only --steps may change")
     else:

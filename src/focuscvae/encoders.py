@@ -1,11 +1,12 @@
 """Shared bidirectional GRU encoders and the Gaussian latent machinery.
 
 Post and response run through the *same* stacked bidirectional GRU (one
-parameter set).  Each step is one fused `gru_cell` node whose mask column
-carries the state unchanged through PAD positions, so padding never leaks
-into it.  The pooled encodings feed two affine heads: recognition
-(post + response, training only) and prior (post only), each emitting mean
-and log-variance of a diagonal Gaussian over the latent z.
+parameter set).  Each layer is one `bigru_layer` node whose mask carries
+both directions' states unchanged through PAD positions, so padding never
+leaks into them, and the masked mean over positions is one `masked_mean`
+node.  The pooled encodings feed two affine heads: recognition (post +
+response, training only) and prior (post only), each emitting mean and
+log-variance of a diagonal Gaussian over the latent z.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GRUCellWeights, Tensor, gru_cell
+from .autodiff import GRUCellWeights, Tensor, bigru_layer
 from .errors import DimensionError, PhaseError, ValidationError
 
 # clamp on every emitted log-variance, so exp(log_var) stays finite
@@ -85,18 +86,6 @@ class EncoderOutputs:
         return self.states_flat.data.reshape(self.batch, self.length, -1)
 
 
-def _run_direction(inputs: list[Tensor], mask: np.ndarray, cell: GRUCellWeights,
-                   units: int, reverse: bool) -> list[Tensor]:
-    b = mask.shape[0]
-    order = range(len(inputs) - 1, -1, -1) if reverse else range(len(inputs))
-    h = Tensor(np.zeros((b, units)))
-    states: dict[int, Tensor] = {}
-    for t in order:
-        h = gru_cell(inputs[t], h, cell, keep=mask[:, t:t + 1].astype(np.float64))
-        states[t] = h
-    return [states[t] for t in range(len(inputs))]
-
-
 def encode(token_ids, mask, emb_table: Tensor, weights: EncoderWeights) -> EncoderOutputs:
     """Run the stacked bidirectional encoder over a padded batch.
 
@@ -115,23 +104,12 @@ def encode(token_ids, mask, emb_table: Tensor, weights: EncoderWeights) -> Encod
     if t == 0 or not m.any(axis=1).all():
         raise ValidationError("every sequence needs at least one unmasked token")
 
-    units = weights.layers[0][0].U_u.shape[0]
-    inputs = [ad.embedding(emb_table, ids[:, i]) for i in range(t)]
-    outputs = inputs
+    # [B, T*width] rows, position i in the i-th block of columns
+    h = ad.concat([ad.embedding(emb_table, ids[:, i]) for i in range(t)], axis=1)
     for fwd_cell, bwd_cell in weights.layers:
-        fwd = _run_direction(outputs, m, fwd_cell, units, reverse=False)
-        bwd = _run_direction(outputs, m, bwd_cell, units, reverse=True)
-        outputs = [ad.concat([f, k], axis=1) for f, k in zip(fwd, bwd)]
-
-    d_h = 2 * units
-    flat = ad.reshape(ad.concat(outputs, axis=1), (b * t, d_h))
-    counts = m.sum(axis=1, keepdims=True).astype(np.float64)
-    acc = None
-    for i, state in enumerate(outputs):
-        masked = ad.scale_rows(state, Tensor(m[:, i:i + 1].astype(np.float64)))
-        acc = masked if acc is None else ad.add(acc, masked)
-    pooled = ad.scale_rows(acc, Tensor(1.0 / counts))
-    return EncoderOutputs(flat, pooled, b, t)
+        h = bigru_layer(h, m, fwd_cell, bwd_cell)
+    flat = ad.reshape(h, (b * t, h.shape[1] // t))
+    return EncoderOutputs(flat, ad.masked_mean(h, m), b, t)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from focuscvae import autodiff as ad
 from focuscvae.autodiff import Tensor, Tape, GRUCellWeights, grad_check, gru_cell
+from focuscvae.encoders import encode, init_encoder_weights
 from focuscvae.errors import DimensionError, DomainError, MaskError
 
 
@@ -187,6 +188,9 @@ PRIMITIVE_CASES = [
     ("pick", lambda rng: ((a := _rand(rng, (4, 5))), None,
                           lambda: scalar_loss(ad.mul(ad.pick(a, np.array([0, 4, 2, 2])),
                                                      ad.pick(a, np.array([1, 4, 0, 2])))), {"a": a})),
+    ("masked_mean", lambda rng: ((a := _rand(rng, (3, 8))), None,
+                                 lambda: scalar_loss(ad.tanh(ad.masked_mean(a, np.array(
+                                     [[1, 1, 0, 1], [0, 1, 0, 0], [1, 1, 1, 1]])))), {"a": a})),
     ("sum_all", lambda rng: ((a := _rand(rng, (3, 3))), None,
                              lambda: ad.mul(ad.sum_all(ad.tanh(a)), ad.sum_all(a)), {"a": a})),
 ]
@@ -339,6 +343,159 @@ def test_sigmoid_matches_the_two_branch_form_bitwise():
                           for _ in range(3000)]
     for d in arrays:
         assert ad._sigmoid(d).tobytes() == reference_sigmoid_data(d).tobytes()
+
+
+# the encoder as it was before bigru_layer, kept as its reference: one cell
+# node per step and direction, a concat per position, and pooling by a
+# chain of scale_rows and add
+
+
+def reference_encode(ids, mask, emb, weights, cell):
+    b, t = ids.shape
+    units = weights.layers[0][0].U_u.shape[0]
+    keeps = [mask[:, i:i + 1].astype(np.float64) for i in range(t)]
+    outputs = [ad.embedding(emb, ids[:, i]) for i in range(t)]
+    for fwd_w, bwd_w in weights.layers:
+        states = [[None] * t, [None] * t]
+        for d, (w, order) in enumerate(((fwd_w, range(t)), (bwd_w, range(t - 1, -1, -1)))):
+            h = Tensor(np.zeros((b, units)))
+            for i in order:
+                h = cell(outputs[i], h, w, keeps[i])
+                states[d][i] = h
+        outputs = [ad.concat([f, k], axis=1) for f, k in zip(*states)]
+    flat = ad.reshape(ad.concat(outputs, axis=1), (b * t, 2 * units))
+    acc = None
+    for i, state in enumerate(outputs):
+        masked = ad.scale_rows(state, Tensor(keeps[i]))
+        acc = masked if acc is None else ad.add(acc, masked)
+    counts = mask.sum(axis=1, keepdims=True).astype(np.float64)
+    return flat, ad.scale_rows(acc, Tensor(1.0 / counts))
+
+
+def _lengths_mask(lengths, t):
+    return np.arange(t)[None, :] < np.array(lengths)[:, None]
+
+
+ENCODE_CASES = {
+    # rows of every length, one of them a single token
+    "ragged": dict(batches=[(5, [5, 3, 1, 4])], n_layers=2),
+    # palindromes through one cell shared by both directions
+    "tied": dict(batches=[(5, [5, 3])], n_layers=1, tied=True),
+    # a post and a response through the same weights under one tape
+    "post_and_response": dict(batches=[(6, [6, 4, 5]), (3, [2, 3, 1])], n_layers=2),
+    "single_row": dict(batches=[(4, [4])], n_layers=2),
+}
+
+
+def _encode_case(case, encoder):
+    """States, pooled vectors, every leaf gradient and the number of nodes the
+    encodes record, under one tape.  The embedding table is read again after
+    the encodes, as the focus keys read it, and every output feeds the loss."""
+    rng = np.random.default_rng(31)
+    vocab, d_in, d_h = 11, 5, 8
+    emb = Tensor(rng.uniform(-0.6, 0.6, size=(vocab, d_in)), requires_grad=True)
+    weights = init_encoder_weights(rng, d_in, d_h, n_layers=case["n_layers"], scale=0.6)
+    if case.get("tied"):
+        weights.layers[0] = (weights.layers[0][0], weights.layers[0][0])
+    batches = []
+    for t, lengths in case["batches"]:
+        ids = rng.integers(1, vocab, size=(len(lengths), t))
+        if case.get("tied"):
+            ids = np.concatenate([ids[:, :(t + 1) // 2], ids[:, :t // 2][:, ::-1]], axis=1)
+        batches.append((ids, _lengths_mask(lengths, t)))
+    probes = [Tensor(rng.normal(size=(ids.size, d_h))) for ids, _ in batches]
+    with Tape() as tape:
+        outs = [encoder(ids, mask, emb, weights) for ids, mask in batches]
+        n_nodes = len(tape.nodes)
+        loss = ad.sum_all(ad.tanh(ad.embedding(emb, batches[0][0].reshape(-1))))
+        for (flat, pooled), probe in zip(outs, probes):
+            loss = ad.add(loss, ad.sum_all(ad.mul(ad.tanh(flat), probe)))
+            loss = ad.add(loss, ad.sum_all(ad.mul(pooled, pooled)))
+    tape.backward(loss)
+    named = {"emb": emb, **weights.named("enc")}
+    return ([a.data for out in outs for a in out],
+            {k: p.grad for k, p in named.items()}, n_nodes)
+
+
+def _encode_layer(ids, mask, emb, weights):
+    out = encode(ids, mask, emb, weights)
+    return out.states_flat, out.pooled
+
+
+@pytest.mark.parametrize("cell", [reference_gru_cell, gru_cell], ids=["composition", "gru_cell"])
+@pytest.mark.parametrize("name", list(ENCODE_CASES))
+def test_bigru_layer_encode_is_bit_identical_to_the_per_step_nodes(name, cell):
+    case = ENCODE_CASES[name]
+    outs, grads, nodes = _encode_case(case, _encode_layer)
+    ref_outs, ref_grads, _ = _encode_case(
+        case, lambda *a: reference_encode(*a, cell=cell))
+    # T embeddings, their concat, one node per layer, the reshape and the mean
+    assert nodes == sum(t + 3 + case["n_layers"] for t, _ in case["batches"])
+    for a, b in zip(outs, ref_outs):
+        assert np.array_equal(a, b)
+    assert grads.keys() == ref_grads.keys()
+    for k in grads:
+        assert np.array_equal(grads[k], ref_grads[k]), k
+
+
+def _layer_inputs(rng, b=3, t=4, d_in=3, units=2, requires_grad=True):
+    x = Tensor(rng.normal(size=(b, t * d_in)), requires_grad=requires_grad)
+    mask = _lengths_mask(rng.integers(1, t + 1, size=b), t)
+    cells = [rand_cell(rng, d_in, units, requires_grad=requires_grad) for _ in range(2)]
+    return x, mask, cells
+
+
+def test_bigru_layer_gradients_with_mask():
+    rng = np.random.default_rng(17)
+    x, mask, (fwd_w, bwd_w) = _layer_inputs(rng)
+    mask[0] = [True, True, False, False]
+    mask[1] = [True, False, False, False]
+    probe = Tensor(rng.normal(size=(3, 4 * 4)))
+
+    def f():
+        out = ad.bigru_layer(x, mask, fwd_w, bwd_w)
+        return scalar_loss(ad.mul(ad.mul(out, out), probe))
+
+    params = {"x": x, **fwd_w.named("fwd"), **bwd_w.named("bwd")}
+    report = grad_check(f, params, h=1e-5, tol=1e-6)
+    assert report.passed, report.format()
+
+
+def test_bigru_layer_shape_mismatch():
+    rng = np.random.default_rng(19)
+    x, mask, (fwd_w, bwd_w) = _layer_inputs(rng, requires_grad=False)
+    ad.bigru_layer(x, mask, fwd_w, bwd_w)
+    with pytest.raises(DimensionError):  # input width is not T * d_in
+        ad.bigru_layer(Tensor(np.zeros((3, 13))), mask, fwd_w, bwd_w)
+    with pytest.raises(DimensionError):  # mask rows differ from the batch
+        ad.bigru_layer(x, mask[:2], fwd_w, bwd_w)
+    with pytest.raises(DimensionError):  # mask is not [B, T]
+        ad.bigru_layer(x, mask.reshape(-1), fwd_w, bwd_w)
+    with pytest.raises(DimensionError):  # backward cell has other units
+        ad.bigru_layer(x, mask, fwd_w, rand_cell(rng, 3, 3, requires_grad=False))
+    with pytest.raises(DimensionError):  # backward cell reads another width
+        ad.bigru_layer(x, mask, fwd_w, rand_cell(rng, 4, 2, requires_grad=False))
+    bad = rand_cell(rng, 3, 2, requires_grad=False)
+    bad.U_h = Tensor(np.zeros((2, 3)))
+    with pytest.raises(DimensionError):
+        ad.bigru_layer(x, mask, bad, bwd_w)
+
+
+def test_bigru_layer_without_a_tape_records_nothing():
+    rng = np.random.default_rng(23)
+    x, mask, (fwd_w, bwd_w) = _layer_inputs(rng)
+    free = ad.bigru_layer(x, mask, fwd_w, bwd_w)
+    assert not free.requires_grad
+    with Tape() as tape:
+        taped = ad.bigru_layer(x, mask, fwd_w, bwd_w)
+    assert taped.requires_grad and len(tape.nodes) == 1
+    assert np.array_equal(free.data, taped.data)
+    frozen = [Tensor(p.data) for p in (x, *fwd_w.named("").values(), *bwd_w.named("").values())]
+    with Tape() as tape:
+        out = ad.bigru_layer(frozen[0], mask, GRUCellWeights(*frozen[1:10]),
+                             GRUCellWeights(*frozen[10:]))
+    assert not tape.nodes and not out.requires_grad
+    assert np.array_equal(out.data, taped.data)
 
 
 def test_backward_adds_repeated_input_parts_in_listed_order():

@@ -67,6 +67,21 @@ def test_resume_extends_the_run(workspace, tmp_path):
     assert len((out / "loss_log.csv").read_text().splitlines()) == 10
 
 
+def test_resume_refuses_paper_init(workspace, tmp_path, capsys):
+    data, run = workspace / "data", workspace / "run"
+    out = tmp_path / "resumed"
+    out.mkdir()
+    for name in ("checkpoint.bin", "loss_log.csv"):
+        (out / name).write_bytes((run / name).read_bytes())
+    code = main(["train", "--corpus", str(data / "corpus.jsonl"),
+                 "--out", str(out), "--checkpoint", str(out / "checkpoint.bin"),
+                 "--steps", "8", "--paper-init"])
+    assert code == 1
+    assert "config from the checkpoint" in capsys.readouterr().err
+    assert not load_checkpoint(out / "checkpoint.bin").config.paper_init
+    assert load_checkpoint(out / "checkpoint.bin").step == 6
+
+
 def test_generate_layout(workspace, tmp_path):
     data, run = workspace / "data", workspace / "run"
     out = tmp_path / "gen"
