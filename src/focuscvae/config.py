@@ -9,6 +9,10 @@ from .errors import ConfigError
 
 VARIANTS = ("s2s", "foc", "foccoverage", "focconstrain")
 
+# accepted Python types per annotated field type; bool is an int subclass,
+# so it is refused separately everywhere but in a bool field
+_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
+
 
 def uses_latent(variant: str) -> bool:
     return variant != "s2s"
@@ -48,6 +52,11 @@ class TrainConfig:
     w_bow: float = 1.0
 
     def validate(self) -> "TrainConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) != (f.type == "bool")
+                    or not isinstance(value, _FIELD_TYPES[f.type])):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.vocab_size < 4:
@@ -60,6 +69,8 @@ class TrainConfig:
                      "checkpoint_interval", "n_latent_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.peak_lr <= 0:
             raise ConfigError("peak_lr must be positive")
         return self

@@ -56,10 +56,22 @@ def initial_states(conditioning: Tensor, w: DecoderWeights) -> list[Tensor]:
     return [ad.narrow(s, 1, 0, d_h), ad.narrow(s, 1, d_h, d_h)]
 
 
-def _advance(x: Tensor, states: list[Tensor], w: DecoderWeights) -> list[Tensor]:
+def _decode_step(setup: AttentionSetup, states: list[Tensor], coverage: CoverageVector,
+                 t: int, prev: np.ndarray | None, emb_table: Tensor, w: DecoderWeights,
+                 update_mask: np.ndarray) -> tuple[Tensor, Tensor, list[Tensor], CoverageVector]:
+    """Decode step t (1-based): attend, embed the previous token ids prev (the
+    start input at t = 1), advance both cells, project [state; context].
+
+    Returns (logits [B, V], alpha [B, T], new states, updated coverage).
+    """
+    alpha, context, coverage = attend_step(setup, states[-1], coverage, t,
+                                           update_mask=update_mask)
+    b = setup.post_mask.shape[0]
+    x = ad.repeat_rows(w.start, b) if t == 1 else ad.embedding(emb_table, prev)
     s0 = ad.gru_cell(x, states[0], w.cells[0])
     s1 = ad.gru_cell(s0, states[1], w.cells[1])
-    return [s0, s1]
+    logits = affine(ad.concat([s1, context], axis=1), w.out)
+    return logits, alpha, [s0, s1], coverage
 
 
 def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSetup,
@@ -80,11 +92,10 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
     step_logits: list[Tensor] = []
     alphas: list[Tensor] = []
     for t in range(1, t_max + 1):
-        alpha, context, coverage = attend_step(
-            setup, states[-1], coverage, t, update_mask=resp_mask[:, t - 1])
-        x = ad.repeat_rows(w.start, b) if t == 1 else ad.embedding(emb_table, resp_ids[:, t - 2])
-        states = _advance(x, states, w)
-        step_logits.append(affine(ad.concat([states[-1], context], axis=1), w.out))
+        prev = resp_ids[:, t - 2] if t > 1 else None
+        logits, alpha, states, coverage = _decode_step(
+            setup, states, coverage, t, prev, emb_table, w, resp_mask[:, t - 1])
+        step_logits.append(logits)
         alphas.append(alpha)
     vocab = step_logits[0].shape[1]
     logits_flat = ad.reshape(ad.concat(step_logits, axis=1), (b * t_max, vocab))
@@ -124,11 +135,8 @@ def greedy_decode(setup: AttentionSetup, emb_table: Tensor, w: DecoderWeights,
     lengths = np.zeros(b, dtype=np.int64)
     prev = None
     for t in range(1, max_len + 1):
-        _, context, coverage = attend_step(
-            setup, states[-1], coverage, t, update_mask=active.astype(np.float64))
-        x = ad.repeat_rows(w.start, b) if t == 1 else ad.embedding(emb_table, prev)
-        states = _advance(x, states, w)
-        logits = affine(ad.concat([states[-1], context], axis=1), w.out)
+        logits, _, states, coverage = _decode_step(
+            setup, states, coverage, t, prev, emb_table, w, active.astype(np.float64))
         scores = logits.data.copy()
         scores[:, PAD_ID] = -np.inf
         picked = np.argmax(scores, axis=1).astype(np.int64)

@@ -284,9 +284,10 @@ def reference_sigmoid(x):
 
 
 def reference_gru_cell(x, h_prev, w, keep=None):
-    u = reference_sigmoid(ad.bias_add(ad.matmul(x, w.W_u) + ad.matmul(h_prev, w.U_u), w.b_u))
-    r = reference_sigmoid(ad.bias_add(ad.matmul(x, w.W_r) + ad.matmul(h_prev, w.U_r), w.b_r))
-    c = ad.tanh(ad.bias_add(ad.matmul(x, w.W_h) + ad.matmul(ad.mul(r, h_prev), w.U_h), w.b_h))
+    u = reference_sigmoid(ad.bias_add(ad.add(ad.matmul(x, w.W_u), ad.matmul(h_prev, w.U_u)), w.b_u))
+    r = reference_sigmoid(ad.bias_add(ad.add(ad.matmul(x, w.W_r), ad.matmul(h_prev, w.U_r)), w.b_r))
+    c = ad.tanh(ad.bias_add(ad.add(ad.matmul(x, w.W_h), ad.matmul(ad.mul(r, h_prev), w.U_h)),
+                            w.b_h))
     h_new = ad.add(ad.mul(ad.add(ad.neg(u), 1.0), h_prev), ad.mul(u, c))
     if keep is None:
         return h_new

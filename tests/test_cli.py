@@ -203,6 +203,23 @@ def test_conflicting_vocab_size_is_rejected(workspace, tmp_path, capsys):
     assert "999" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [
+    {"paper_init": "no"}, {"batch_size": True}, {"d_h": 8.0}, {"d_h": "64"},
+    {"peak_lr": "0.1"}, {"seed": -1},
+])
+def test_config_values_of_the_wrong_type_are_rejected(workspace, tmp_path, capsys, payload):
+    data = workspace / "data"
+    cfg_path = tmp_path / "bad.json"
+    # a short run, so a payload that gets through fails fast
+    cfg_path.write_text(json.dumps({**payload, "total_steps": 2}))
+    out = tmp_path / "x"
+    code = main(["train", "--corpus", str(data / "corpus.jsonl"),
+                 "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    assert next(iter(payload)) in capsys.readouterr().err
+    assert not (out / "config.json").exists()
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1
