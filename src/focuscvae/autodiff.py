@@ -16,7 +16,7 @@ step's arithmetic.  `gru_cell` is one step (the decoder's); `bigru_layer`
 is a whole bidirectional encoder layer, both directions stepping in
 lockstep.  `masked_mean` pools the encoder states.  Their hand-written
 backward passes reproduce the gradients of the op-by-op composition bit
-for bit.  A `focconstrain` training step records 217 nodes with them,
+for bit.  A `focconstrain` training step records 215 nodes with them,
 against 2,164 op by op.
 """
 

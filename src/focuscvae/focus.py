@@ -2,12 +2,12 @@
 
 The focus head matches a query built from the sampled z against a key for
 each post position (from the position's encoder state and word embedding),
-then normalizes over real (non-PAD) positions.  The resulting distribution
-is appended to the encoder states as one extra column, and its log is added
-to every attention step's scores, so the decoder attends where the focus
-points unless a step's own scores move it.  A coverage vector keeps the
-running sum of attention weights per position; variants that use it feed
-the coverage-weighted state summary back into the attention energies.
+then normalizes over real (non-PAD) positions.  The log of the resulting
+distribution is added to every attention step's scores, so the decoder
+attends where the focus points unless a step's own scores move it.  A
+coverage vector keeps the running sum of attention weights per position;
+with coverage weights V_a, the coverage-weighted state summary feeds back
+into the attention energies.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import uses_coverage_term
 from .errors import DimensionError, SequencingError, ValidationError
 
 LOG_FOCUS_FLOOR = 1e-30
@@ -38,10 +37,10 @@ class FocusWeights:
 
 @dataclass
 class AttentionWeights:
-    W_a: Tensor          # [d_states, d_att]
+    W_a: Tensor          # [d_h, d_att]
     U_a: Tensor          # [d_h, d_att]
     v_a: Tensor          # [d_att, 1]
-    V_a: Tensor | None   # [d_states, d_att] when the coverage term is active
+    V_a: Tensor | None   # [d_h, d_att]; present exactly when the coverage term is on
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         out = {f"{prefix}.W_a": self.W_a, f"{prefix}.U_a": self.U_a, f"{prefix}.v_a": self.v_a}
@@ -69,12 +68,6 @@ def focus_generate(features_flat: Tensor, post_mask: np.ndarray, z: Tensor,
     return ad.softmax(ad.reshape(scores, (b, t)), mask)
 
 
-def augment_with_focus(states_flat: Tensor, focus: Tensor) -> Tensor:
-    """Append the focus value of each position as one extra state column."""
-    n = states_flat.shape[0]
-    return ad.concat([states_flat, ad.reshape(focus, (n, 1))], axis=1)
-
-
 @dataclass
 class CoverageVector:
     """Running Σ_t α_t per post position, plus the step it is current for."""
@@ -91,12 +84,11 @@ class CoverageVector:
 class AttentionSetup:
     """Per-decode precomputation: state projections that are constant in t."""
 
-    base: Tensor            # [B*T, d_att] = W_a applied to the attended states
-    attended_flat: Tensor   # states the coverage summary is built from
-    context_flat: Tensor    # states summed into the decoder context
+    base: Tensor            # [B*T, d_att] = W_a applied to the encoder states
+    states_flat: Tensor     # encoder states the coverage summary is built from
+    context_flat: Tensor    # rows summed into the decoder context
     post_mask: np.ndarray   # [B, T]
     weights: AttentionWeights
-    use_coverage: bool
     log_focus: Tensor | None = None  # [B, T] prior added to every step's scores
 
     @property
@@ -104,25 +96,21 @@ class AttentionSetup:
         return self.post_mask.shape[1]
 
 
-def build_attention(states_flat: Tensor, aug_flat: Tensor | None, post_mask: np.ndarray,
-                    w: AttentionWeights, variant: str,
-                    focus: Tensor | None = None) -> AttentionSetup:
+def build_attention(states_flat: Tensor, context_flat: Tensor, post_mask: np.ndarray,
+                    w: AttentionWeights, focus: Tensor | None = None) -> AttentionSetup:
     """Precompute the step-independent attention terms.
 
-    With a focus, every step's weights are softmax(scores + log focus), i.e.
-    proportional to focus * exp(scores): the focus is the attention's prior.
+    The energies and the coverage summary read the encoder states; the
+    context sums the rows of context_flat.  With a focus, every step's
+    weights are softmax(scores + log focus), i.e. proportional to
+    focus * exp(scores): the focus is the attention's prior.
     """
-    attended = aug_flat if aug_flat is not None else states_flat
-    use_cov = uses_coverage_term(variant)
-    if use_cov and w.V_a is None:
-        raise ValidationError(f"variant {variant!r} needs coverage weights V_a")
     return AttentionSetup(
-        base=ad.matmul(attended, w.W_a),
-        attended_flat=attended,
-        context_flat=states_flat,
+        base=ad.matmul(states_flat, w.W_a),
+        states_flat=states_flat,
+        context_flat=context_flat,
         post_mask=np.asarray(post_mask, dtype=bool),
         weights=w,
-        use_coverage=use_cov,
         # the floor only keeps log finite where the focus underflowed to 0;
         # PAD positions are masked out of the softmax anyway
         log_focus=None if focus is None else ad.log(ad.clamp(focus, LOG_FOCUS_FLOOR, 1.0)),
@@ -142,9 +130,9 @@ def attend_step(setup: AttentionSetup, s_prev: Tensor, coverage: CoverageVector,
         raise SequencingError(f"coverage is current for step {coverage.step}, cannot attend at step {t}")
     b, length = setup.post_mask.shape
     energy = ad.add(setup.base, ad.repeat_rows(ad.matmul(s_prev, setup.weights.U_a), length))
-    if setup.use_coverage:
+    if setup.weights.V_a is not None:
         summary = ad.sum_groups(
-            ad.scale_rows(setup.attended_flat, ad.reshape(coverage.d, (b * length, 1))), length)
+            ad.scale_rows(setup.states_flat, ad.reshape(coverage.d, (b * length, 1))), length)
         energy = ad.add(energy, ad.repeat_rows(ad.matmul(summary, setup.weights.V_a), length))
     scores = ad.reshape(ad.matmul(ad.tanh(energy), setup.weights.v_a), (b, length))
     if setup.log_focus is not None:

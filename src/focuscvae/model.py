@@ -3,7 +3,7 @@
 Variants build only the parameters they use:
 
   s2s           plain attentive encoder-decoder; no latent, no focus
-  foc           latent z, focus column appended to the encoder states
+  foc           latent z; its focus is a log prior on every attention step
   foccoverage   foc plus the coverage feedback term in the attention
   focconstrain  foccoverage (the focus alignment penalty lives in training)
 """
@@ -24,17 +24,14 @@ from .encoders import (AffineWeights, EncoderOutputs, GaussianParams, LatentSamp
                        encode, init_encoder_weights, kl_divergence, prior, recognition, sample)
 from .errors import DimensionError, ValidationError
 from .focus import (AttentionSetup, AttentionWeights, CoverageVector, FocusWeights,
-                    augment_with_focus, build_attention, focus_generate)
+                    build_attention, focus_generate)
 
-# Init gains.  Neither makes the untrained focus or attention peaked: on the
-# desk shapes (ten training batches, posterior z) both peak at 0.099 against
-# 0.080 for a uniform spread.  FOCUS_SCORE_GAIN scales the focus query's bias
-# v_f (the focus peaks at 0.093 without it).  ATTN_FOCUS_GAIN scales the
-# attention weights of the focus column and moves the untrained attention
-# peak by less than 0.001; the attention follows the focus through the
-# log-focus prior that attend_step adds, not through this gain.
+# Init gain of the focus query's bias v_f.  It does not make the untrained
+# focus peaked: on the desk shapes (ten training batches, posterior z) the
+# focus peaks at 0.099 with it and 0.093 without, against 0.080 for a uniform
+# spread.  The untrained attention, whose steps add the log focus to nearly
+# flat scores, peaks at 0.099 too.
 FOCUS_SCORE_GAIN = 6.0
-ATTN_FOCUS_GAIN = 6.0
 
 
 @dataclass
@@ -89,12 +86,9 @@ class FocusCVAE:
         else:
             self.recognition = self.prior = self.focus = self.bow = None
 
-        d_states = d_h + 1 if latent else d_h
         self.attention = AttentionWeights(
-            W_a=u(d_states, d_h), U_a=u(d_h, d_h), v_a=u(d_h, 1),
-            V_a=u(d_states, d_h) if uses_coverage_term(cfg.variant) else None)
-        if latent:
-            self.attention.W_a.data[-1] *= ATTN_FOCUS_GAIN
+            W_a=u(d_h, d_h), U_a=u(d_h, d_h), v_a=u(d_h, 1),
+            V_a=u(d_h, d_h) if uses_coverage_term(cfg.variant) else None)
 
         d_cond = d_h + (d_z if latent else 0)
         d_ctx = d_h + (d_emb if latent else 0)
@@ -153,20 +147,16 @@ class FocusCVAE:
     def _focus_and_setup(self, post_enc: EncoderOutputs, post_ids: np.ndarray,
                          post_mask: np.ndarray, z: Tensor | None
                          ) -> tuple[Tensor | None, AttentionSetup]:
+        states = post_enc.states_flat
         if z is None:
-            setup = build_attention(post_enc.states_flat, None, post_mask,
-                                    self.attention, self.cfg.variant)
-            return None, setup
+            return None, build_attention(states, states, post_mask, self.attention)
         # each position is annotated with its word embedding as well as its
         # encoder state; the focus keys and the attention context read both,
         # so focusing a keyword hands the decoder that word itself
         words = ad.embedding(self.embedding, np.asarray(post_ids).reshape(-1))
-        annotated = ad.concat([post_enc.states_flat, words], axis=1)
+        annotated = ad.concat([states, words], axis=1)
         f = focus_generate(annotated, post_mask, z, self.focus)
-        aug = augment_with_focus(post_enc.states_flat, f)
-        setup = build_attention(annotated, aug, post_mask,
-                                self.attention, self.cfg.variant, focus=f)
-        return f, setup
+        return f, build_attention(states, annotated, post_mask, self.attention, focus=f)
 
     def forward_train(self, batch: Batch, eps: np.ndarray | None) -> ForwardPass:
         """Teacher-forced pass with the recognition network providing z."""

@@ -219,7 +219,7 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 # checkpointing
 
 CHECKPOINT_MAGIC = b"FCVK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass

@@ -177,6 +177,15 @@ class TestVariantParameterSets:
         b = set(micro_model("focconstrain").named_parameters())
         assert a == b and "attention.V_a" in a
 
+    def test_attention_reads_only_the_encoder_states(self):
+        # no variant appends a focus column: W_a and V_a are [d_h, d_h]
+        for variant in ("s2s", "foc", "foccoverage", "focconstrain"):
+            model = micro_model(variant)
+            d_h = model.cfg.d_h
+            assert model.attention.W_a.shape == (d_h, d_h), variant
+            if model.attention.V_a is not None:
+                assert model.attention.V_a.shape == (d_h, d_h), variant
+
     def test_from_arrays_reproduces_forward_bitwise(self):
         model = micro_model()
         arrays = {k: p.data.copy() for k, p in model.named_parameters().items()}

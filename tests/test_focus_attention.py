@@ -10,8 +10,8 @@ from focuscvae import autodiff as ad
 from focuscvae.autodiff import Tensor, grad_check
 from focuscvae.errors import MaskError, SequencingError, ValidationError
 from focuscvae.focus import (
-    AttentionWeights, CoverageVector, FocusWeights, attend_step, augment_with_focus,
-    build_attention, coverage_report, focus_generate,
+    AttentionWeights, CoverageVector, FocusWeights, attend_step, build_attention,
+    coverage_report, focus_generate,
 )
 
 
@@ -20,10 +20,10 @@ def make_focus_weights(rng, d_h, d_z, d_att, scale=0.5, grad=False):
     return FocusWeights(W_f=t(d_h, d_att), U_f=t(d_z, d_att), v_f=t(d_att, 1))
 
 
-def make_attention_weights(rng, d_states, d_h, d_att, coverage=True, scale=0.5, grad=False):
+def make_attention_weights(rng, d_h, d_att, coverage=True, scale=0.5, grad=False):
     t = lambda *s: Tensor(rng.uniform(-scale, scale, size=s), requires_grad=grad)
-    return AttentionWeights(W_a=t(d_states, d_att), U_a=t(d_h, d_att), v_a=t(d_att, 1),
-                            V_a=t(d_states, d_att) if coverage else None)
+    return AttentionWeights(W_a=t(d_h, d_att), U_a=t(d_h, d_att), v_a=t(d_att, 1),
+                            V_a=t(d_h, d_att) if coverage else None)
 
 
 def random_states(rng, b, t, d_h):
@@ -63,25 +63,11 @@ def test_focus_all_pad_row_rejected():
         focus_generate(random_states(rng, 2, 2, 4), mask, Tensor(rng.normal(size=(2, 2))), w)
 
 
-def test_augment_appends_focus_column():
-    rng = np.random.default_rng(3)
-    b, t, d_h = 2, 3, 4
-    states = random_states(rng, b, t, d_h)
-    focus = Tensor(np.arange(b * t, dtype=float).reshape(b, t) / 10.0)
-    aug = augment_with_focus(states, focus)
-    assert aug.shape == (b * t, d_h + 1)
-    np.testing.assert_array_equal(aug.data[:, :d_h], states.data)
-    np.testing.assert_array_equal(aug.data[:, d_h], focus.data.reshape(-1))
-
-
-def run_attention_steps(rng, variant, n_steps, b=2, t=4, d_h=6, seed_states=None,
-                        update_masks=None):
+def run_attention_steps(rng, n_steps, b=2, t=4, d_h=6, seed_states=None, update_masks=None):
     states = seed_states if seed_states is not None else random_states(rng, b, t, d_h)
     focus = Tensor(np.random.default_rng(99).dirichlet(np.ones(t), size=b))
-    aug = augment_with_focus(states, focus) if variant != "s2s" else None
-    d_states = d_h + 1 if variant != "s2s" else d_h
-    w = make_attention_weights(rng, d_states, d_h, d_h, coverage=variant in ("foccoverage", "focconstrain"))
-    setup = build_attention(states, aug, np.ones((b, t), dtype=bool), w, variant)
+    w = make_attention_weights(rng, d_h, d_h)
+    setup = build_attention(states, states, np.ones((b, t), dtype=bool), w, focus=focus)
     cov = CoverageVector.fresh(b, t)
     alphas, contexts = [], []
     for step in range(1, n_steps + 1):
@@ -95,7 +81,7 @@ def run_attention_steps(rng, variant, n_steps, b=2, t=4, d_h=6, seed_states=None
 
 def test_attention_rows_are_distributions():
     rng = np.random.default_rng(4)
-    alphas, _, _, _ = run_attention_steps(rng, "focconstrain", 3)
+    alphas, _, _, _ = run_attention_steps(rng, 3)
     for a in alphas:
         np.testing.assert_allclose(a.data.sum(axis=1), 1.0, atol=1e-12)
 
@@ -103,7 +89,7 @@ def test_attention_rows_are_distributions():
 def test_coverage_accumulates_and_is_monotone():
     rng = np.random.default_rng(5)
     n_steps = 5
-    alphas, _, cov, _ = run_attention_steps(rng, "focconstrain", n_steps)
+    alphas, _, cov, _ = run_attention_steps(rng, n_steps)
     # brute-force re-accumulation of the per-step weights
     expected = np.zeros_like(cov.d.data)
     prev = np.zeros_like(cov.d.data)
@@ -118,25 +104,24 @@ def test_coverage_accumulates_and_is_monotone():
 
 def test_attend_step_rejects_out_of_order_calls():
     rng = np.random.default_rng(6)
-    _, _, cov, setup = run_attention_steps(rng, "focconstrain", 2)
+    _, _, cov, setup = run_attention_steps(rng, 2)
     s_prev = Tensor(rng.normal(size=(2, 6)))
     with pytest.raises(SequencingError):
         attend_step(setup, s_prev, cov, 5)  # coverage is current for step 2
 
 
 def test_coverage_term_gates_by_variant():
-    # without the coverage term the same query must ignore accumulated coverage
+    # without V_a (the foc variant) the same query must ignore accumulated coverage
     rng = np.random.default_rng(7)
     b, t, d_h = 2, 4, 6
     states = random_states(rng, b, t, d_h)
     focus = Tensor(np.random.default_rng(1).dirichlet(np.ones(t), size=b))
-    aug = augment_with_focus(states, focus)
     mask = np.ones((b, t), dtype=bool)
     s_prev = Tensor(rng.normal(size=(b, d_h)))
 
-    for variant, sensitive in (("foc", False), ("foccoverage", True)):
-        w = make_attention_weights(np.random.default_rng(8), d_h + 1, d_h, d_h, coverage=True)
-        setup = build_attention(states, aug, mask, w, variant)
+    for sensitive in (False, True):
+        w = make_attention_weights(np.random.default_rng(8), d_h, d_h, coverage=sensitive)
+        setup = build_attention(states, states, mask, w, focus=focus)
         fresh = CoverageVector.fresh(b, t)
         loaded = CoverageVector(Tensor(np.full((b, t), 0.25)), 0)
         a1, _, _ = attend_step(setup, s_prev, fresh, 1)
@@ -147,20 +132,34 @@ def test_coverage_term_gates_by_variant():
             np.testing.assert_array_equal(a1.data, a2.data)
 
 
-def test_coverage_variant_requires_va():
+def test_uniform_focus_leaves_attention_as_without_focus():
+    # log of a uniform focus shifts every real position's score alike
     rng = np.random.default_rng(9)
-    states = random_states(rng, 1, 3, 4)
-    w = make_attention_weights(rng, 5, 4, 4, coverage=False)
-    aug = augment_with_focus(states, Tensor(np.full((1, 3), 1 / 3)))
-    with pytest.raises(ValidationError):
-        build_attention(states, aug, np.ones((1, 3), dtype=bool), w, "focconstrain")
+    b, t, d_h = 2, 4, 6
+    mask = np.ones((b, t), dtype=bool)
+    mask[1, 3] = False
+    states = random_states(rng, b, t, d_h)
+    uniform = Tensor(mask / mask.sum(axis=1, keepdims=True))
+    s_prevs = [Tensor(rng.normal(size=(b, d_h))) for _ in range(3)]
+    for coverage in (False, True):
+        w = make_attention_weights(np.random.default_rng(15), d_h, d_h, coverage=coverage)
+        runs = []
+        for focus in (uniform, None):
+            setup = build_attention(states, states, mask, w, focus=focus)
+            cov, alphas = CoverageVector.fresh(b, t), []
+            for step, s_prev in enumerate(s_prevs, start=1):
+                alpha, _, cov = attend_step(setup, s_prev, cov, step)
+                alphas.append(alpha.data)
+            runs.append(alphas)
+        for with_focus, without in zip(*runs):
+            np.testing.assert_allclose(with_focus, without, rtol=0, atol=1e-12)
 
 
 def test_context_is_attention_weighted_sum_of_original_states():
     rng = np.random.default_rng(10)
     b, t, d_h = 2, 4, 6
     states = random_states(rng, b, t, d_h)
-    alphas, contexts, _, _ = run_attention_steps(rng, "focconstrain", 1, b=b, t=t, d_h=d_h,
+    alphas, contexts, _, _ = run_attention_steps(rng, 1, b=b, t=t, d_h=d_h,
                                                  seed_states=states)
     manual = np.einsum("bt,btd->bd", alphas[0].data, states.data.reshape(b, t, d_h))
     np.testing.assert_allclose(contexts[0].data, manual, atol=1e-12)
@@ -170,7 +169,7 @@ def test_context_is_attention_weighted_sum_of_original_states():
 def test_update_mask_freezes_rows():
     rng = np.random.default_rng(12)
     masks = [np.array([1.0, 1.0]), np.array([1.0, 0.0]), np.array([1.0, 0.0])]
-    _, _, cov, _ = run_attention_steps(rng, "focconstrain", 3, update_masks=masks)
+    _, _, cov, _ = run_attention_steps(rng, 3, update_masks=masks)
     np.testing.assert_allclose(cov.d.data[0].sum(), 3.0, atol=1e-9)
     np.testing.assert_allclose(cov.d.data[1].sum(), 1.0, atol=1e-9)
 
@@ -184,10 +183,9 @@ def test_focus_prior_sets_attention_when_step_scores_are_flat():
     states = random_states(rng, b, t, d_h)
     focus = Tensor(np.vstack([rng.dirichlet(np.ones(t)),
                               np.append(rng.dirichlet(np.ones(t - 1)), 0.0)]))
-    w = make_attention_weights(rng, d_h + 1, d_h, d_h, coverage=True)
+    w = make_attention_weights(rng, d_h, d_h, coverage=True)
     w.v_a = Tensor(np.zeros((d_h, 1)))
-    setup = build_attention(states, augment_with_focus(states, focus), mask, w,
-                            "focconstrain", focus=focus)
+    setup = build_attention(states, states, mask, w, focus=focus)
     alpha, _, _ = attend_step(setup, Tensor(rng.normal(size=(b, d_h))),
                               CoverageVector.fresh(b, t), 1)
     np.testing.assert_allclose(alpha.data, focus.data, atol=1e-12)
@@ -202,14 +200,13 @@ def _check_focus_attention_gradients(focus_prior: bool):
     states = Tensor(rng.normal(size=(b * t, d_h)), requires_grad=True)
     z = Tensor(rng.normal(size=(b, d_z)), requires_grad=True)
     fw = make_focus_weights(rng, d_h, d_z, d_h, grad=True)
-    aw = make_attention_weights(rng, d_h + 1, d_h, d_h, coverage=True, grad=True)
+    aw = make_attention_weights(rng, d_h, d_h, coverage=True, grad=True)
     s_prev = Tensor(rng.normal(size=(b, d_h)), requires_grad=True)
 
     def f():
-        focus = focus_generate(states, mask, z, fw)
-        aug = augment_with_focus(states, focus)
-        setup = build_attention(states, aug, mask, aw, "focconstrain",
-                                focus=focus if focus_prior else None)
+        # the focus reaches the attention only as its prior
+        focus = focus_generate(states, mask, z, fw) if focus_prior else None
+        setup = build_attention(states, states, mask, aw, focus=focus)
         cov = CoverageVector.fresh(b, t)
         total = None
         for step in (1, 2):
@@ -218,8 +215,9 @@ def _check_focus_attention_gradients(focus_prior: bool):
             total = term if total is None else ad.add(total, term)
         return ad.add(total, ad.sum_all(ad.mul(cov.d, cov.d)))
 
-    params = {"states": states, "z": z, "s_prev": s_prev,
-              **fw.named("focus"), **aw.named("att")}
+    params = {"states": states, "s_prev": s_prev, **aw.named("att")}
+    if focus_prior:
+        params.update({"z": z, **fw.named("focus")})
     report = grad_check(f, params, h=1e-5, tol=1e-6)
     assert report.passed, report.format()
 
