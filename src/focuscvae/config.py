@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
@@ -47,7 +48,6 @@ class TrainConfig:
     checkpoint_interval: int = 500
     init_scale: float = 0.08
     paper_init: bool = False
-    n_latent_samples: int = 1
     w_foc: float = 1.0
     w_bow: float = 1.0
 
@@ -57,6 +57,8 @@ class TrainConfig:
             if (isinstance(value, bool) != (f.type == "bool")
                     or not isinstance(value, _FIELD_TYPES[f.type])):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.vocab_size < 4:
@@ -66,13 +68,17 @@ class TrainConfig:
         if self.d_z < 1:
             raise ConfigError("d_z must be positive")
         for name in ("batch_size", "total_steps", "warmup_steps", "kl_anneal_steps",
-                     "checkpoint_interval", "n_latent_samples"):
+                     "checkpoint_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.peak_lr <= 0:
-            raise ConfigError("peak_lr must be positive")
+        for name in ("peak_lr", "init_scale"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("w_foc", "w_bow"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         return self
 
     @property

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,13 @@ EOS_TOKEN = "<eos>"
 _SPECIALS = (PAD_TOKEN, UNK_TOKEN, EOS_TOKEN)
 
 MARKER_TOKEN = "mk"  # flags the keyword right after it as a slot
+
+# fixed shape of the grammar
+N_SLOTS = 2             # marked keywords per post
+N_DISTRACTORS = 2       # unmarked keywords per post
+RESPONSES_PER_POST = 3
+N_OPENERS = 4
+N_CLOSERS = 4
 
 
 class Vocabulary:
@@ -125,32 +132,23 @@ class Batch:
 
 @dataclass
 class GrammarConfig:
-    """Knobs of the synthetic grammar; validated against the vocab budget."""
+    """Sizes of the synthetic grammar; validated against the vocab budget."""
 
     vocab_size: int = 64
-    post_len: int = 16         # maximum; actual lengths vary
-    n_slots: int = 2
-    responses_per_post: int = 3
+    post_len: int = 14         # maximum; actual lengths vary
     n_keywords: int = 20
-    n_distractors: int = 2     # unmarked keywords per post
-    n_openers: int = 4
-    n_closers: int = 4
 
     def validate(self) -> None:
-        if self.n_slots < 1 or self.responses_per_post < 1:
-            raise ConfigError("n_slots and responses_per_post must be at least 1")
-        if self.n_distractors < 0:
-            raise ConfigError("n_distractors cannot be negative")
-        if self.n_slots + self.n_distractors > self.n_keywords:
+        if N_SLOTS + N_DISTRACTORS > self.n_keywords:
             raise ConfigError(
-                f"{self.n_slots} slots plus {self.n_distractors} distractors need "
+                f"{N_SLOTS} slots plus {N_DISTRACTORS} distractors need "
                 f"at least as many keywords, have {self.n_keywords}")
         # every slot costs two tokens (marker + keyword), plus one filler minimum
-        if self.post_len < 2 * self.n_slots + self.n_distractors + 1:
+        if self.post_len < 2 * N_SLOTS + N_DISTRACTORS + 1:
             raise ConfigError(
-                f"post_len {self.post_len} leaves no room for {self.n_slots} marked slots "
-                f"and {self.n_distractors} distractors plus filler")
-        reserved = 3 + 1 + 2 * self.n_keywords + self.n_openers + self.n_closers
+                f"post_len {self.post_len} leaves no room for {N_SLOTS} marked slots "
+                f"and {N_DISTRACTORS} distractors plus filler")
+        reserved = 3 + 1 + 2 * self.n_keywords + N_OPENERS + N_CLOSERS
         if reserved + 1 > self.vocab_size:
             raise ConfigError(
                 f"vocab_size {self.vocab_size} too small for grammar needing {reserved} tokens plus filler")
@@ -160,8 +158,8 @@ def _grammar_tokens(cfg: GrammarConfig) -> dict[str, list[str]]:
     pools = {
         "keywords": [f"kw{i:02d}" for i in range(cfg.n_keywords)],
         "contents": [f"rc{i:02d}" for i in range(cfg.n_keywords)],
-        "openers": [f"op{i}" for i in range(cfg.n_openers)],
-        "closers": [f"cl{i}" for i in range(cfg.n_closers)],
+        "openers": [f"op{i}" for i in range(N_OPENERS)],
+        "closers": [f"cl{i}" for i in range(N_CLOSERS)],
     }
     used = 3 + 1 + sum(len(v) for v in pools.values())
     pools["fillers"] = [f"fl{i:02d}" for i in range(cfg.vocab_size - used)]
@@ -200,8 +198,8 @@ def generate_synthetic(seed: int, n_pairs: int, cfg: GrammarConfig | None = None
 
     Posts are built from shuffled units: marker+keyword for each slot, a bare
     keyword per distractor, single fillers for the rest.  Each post gets
-    `responses_per_post` responses whose gold slots cover at least
-    min(n_slots, responses_per_post) distinct slots; remaining responses pick
+    RESPONSES_PER_POST responses whose gold slots cover at least
+    min(N_SLOTS, RESPONSES_PER_POST) distinct slots; remaining responses pick
     a slot uniformly, keeping the marginal uniform.
     """
     cfg = cfg or GrammarConfig()
@@ -211,29 +209,29 @@ def generate_synthetic(seed: int, n_pairs: int, cfg: GrammarConfig | None = None
     pools = _grammar_tokens(cfg)
     rng = np.random.default_rng(seed)
     records: list[PostRecord] = []
-    n_posts = math.ceil(n_pairs / cfg.responses_per_post)
+    n_posts = math.ceil(n_pairs / RESPONSES_PER_POST)
 
-    base = 2 * cfg.n_slots + cfg.n_distractors
+    base = 2 * N_SLOTS + N_DISTRACTORS
     len_lo = max(base + 1, cfg.post_len - 3)
     for _ in range(n_posts):
         length = int(rng.integers(len_lo, cfg.post_len + 1))
-        keywords = rng.choice(pools["keywords"], size=cfg.n_slots + cfg.n_distractors, replace=False)
-        units = [[MARKER_TOKEN, str(k)] for k in keywords[:cfg.n_slots]]
-        units += [[str(k)] for k in keywords[cfg.n_slots:]]
+        keywords = rng.choice(pools["keywords"], size=N_SLOTS + N_DISTRACTORS, replace=False)
+        units = [[MARKER_TOKEN, str(k)] for k in keywords[:N_SLOTS]]
+        units += [[str(k)] for k in keywords[N_SLOTS:]]
         units += [[pools["fillers"][rng.integers(len(pools["fillers"]))]]
                   for _ in range(length - base)]
         post = [tok for i in rng.permutation(len(units)) for tok in units[int(i)]]
         slot_kws = [post[i] for i in marked_positions(post)]
 
-        picks = list(rng.permutation(min(cfg.n_slots, cfg.responses_per_post)))
-        while len(picks) < cfg.responses_per_post:
-            picks.append(int(rng.integers(cfg.n_slots)))
+        picks = list(rng.permutation(min(N_SLOTS, RESPONSES_PER_POST)))
+        while len(picks) < RESPONSES_PER_POST:
+            picks.append(int(rng.integers(N_SLOTS)))
         responses, gold = [], []
         for slot in picks:
             content = content_for_keyword(slot_kws[slot])
             shape = int(rng.integers(3))
-            opener = pools["openers"][rng.integers(cfg.n_openers)]
-            closer = pools["closers"][rng.integers(cfg.n_closers)]
+            opener = pools["openers"][rng.integers(N_OPENERS)]
+            closer = pools["closers"][rng.integers(N_CLOSERS)]
             if shape == 0:
                 resp = [opener, content, closer]
             elif shape == 1:
@@ -245,7 +243,7 @@ def generate_synthetic(seed: int, n_pairs: int, cfg: GrammarConfig | None = None
         records.append(PostRecord(post, responses, gold))
 
     # trim the final post's responses so exactly n_pairs survive
-    excess = n_posts * cfg.responses_per_post - n_pairs
+    excess = n_posts * RESPONSES_PER_POST - n_pairs
     if excess:
         records[-1].responses = records[-1].responses[:-excess]
         records[-1].gold_focus_slot = records[-1].gold_focus_slot[:-excess]
@@ -354,13 +352,3 @@ def epoch_order(n: int, seed: int, epoch: int) -> np.ndarray:
     """Shuffle order for one epoch; a pure function of (seed, epoch).
     The middle seed word keeps this stream clear of other consumers."""
     return np.random.default_rng([seed, 1, epoch]).permutation(n)
-
-
-def make_batches(pairs: list[PostResponsePair], batch_size: int,
-                 seed: int, epoch: int = 0) -> list[Batch]:
-    """One epoch of batches: every pair exactly once, deterministic shuffle."""
-    if batch_size < 1:
-        raise ConfigError("batch_size must be positive")
-    order = epoch_order(len(pairs), seed, epoch)
-    return [collate([pairs[int(i)] for i in order[lo:lo + batch_size]])
-            for lo in range(0, len(pairs), batch_size)]

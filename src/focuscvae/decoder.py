@@ -18,7 +18,7 @@ from .autodiff import GRUCellWeights, Tensor
 from .corpus import EOS_ID, PAD_ID
 from .encoders import AffineWeights, affine, init_gru_cell
 from .errors import ValidationError
-from .focus import AlignmentRecord, AttentionSetup, CoverageVector, attend_step, coverage_report
+from .focus import AlignmentRecord, AttentionSetup, attend_step, coverage_report
 
 
 @dataclass
@@ -56,16 +56,15 @@ def initial_states(conditioning: Tensor, w: DecoderWeights) -> list[Tensor]:
     return [ad.narrow(s, 1, 0, d_h), ad.narrow(s, 1, d_h, d_h)]
 
 
-def _decode_step(setup: AttentionSetup, states: list[Tensor], coverage: CoverageVector,
+def _decode_step(setup: AttentionSetup, states: list[Tensor], coverage: Tensor,
                  t: int, prev: np.ndarray | None, emb_table: Tensor, w: DecoderWeights,
-                 update_mask: np.ndarray) -> tuple[Tensor, Tensor, list[Tensor], CoverageVector]:
+                 update_mask: np.ndarray) -> tuple[Tensor, Tensor, list[Tensor], Tensor]:
     """Decode step t (1-based): attend, embed the previous token ids prev (the
     start input at t = 1), advance both cells, project [state; context].
 
     Returns (logits [B, V], alpha [B, T], new states, updated coverage).
     """
-    alpha, context, coverage = attend_step(setup, states[-1], coverage, t,
-                                           update_mask=update_mask)
+    alpha, context, coverage = attend_step(setup, states[-1], coverage, update_mask=update_mask)
     b = setup.post_mask.shape[0]
     x = ad.repeat_rows(w.start, b) if t == 1 else ad.embedding(emb_table, prev)
     s0 = ad.gru_cell(x, states[0], w.cells[0])
@@ -76,7 +75,7 @@ def _decode_step(setup: AttentionSetup, states: list[Tensor], coverage: Coverage
 
 def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSetup,
                  emb_table: Tensor, w: DecoderWeights, init: list[Tensor]
-                 ) -> tuple[Tensor, CoverageVector, list[Tensor]]:
+                 ) -> tuple[Tensor, Tensor, list[Tensor]]:
     """Teacher-forced pass over a padded response batch.
 
     Returns logits as one [B*T, V] block in (batch, position) row-major
@@ -88,7 +87,7 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
     if t_max == 0:
         raise ValidationError("decode_train needs at least one response position")
     states = init
-    coverage = CoverageVector.fresh(b, setup.length)
+    coverage = Tensor(np.zeros((b, setup.length)))
     step_logits: list[Tensor] = []
     alphas: list[Tensor] = []
     for t in range(1, t_max + 1):
@@ -129,7 +128,7 @@ def greedy_decode(setup: AttentionSetup, emb_table: Tensor, w: DecoderWeights,
         raise ValidationError(f"max_len must be positive, got {max_len}")
     b = setup.post_mask.shape[0]
     states = init
-    coverage = CoverageVector.fresh(b, setup.length)
+    coverage = Tensor(np.zeros((b, setup.length)))
     active = np.ones(b, dtype=bool)
     emitted = np.full((b, max_len), PAD_ID, dtype=np.int64)
     lengths = np.zeros(b, dtype=np.int64)
@@ -153,7 +152,7 @@ def greedy_decode(setup: AttentionSetup, emb_table: Tensor, w: DecoderWeights,
         n = int(lengths[i])
         tokens = [int(tok) for tok in emitted[i, :n]]
         mask_row = setup.post_mask[i]
-        cov_row = coverage.d.data[i][mask_row]
+        cov_row = coverage.data[i][mask_row]
         if focus_rows is not None:
             focus_row = focus_rows[i][mask_row]
             alignment = coverage_report(cov_row, n, focus_row)

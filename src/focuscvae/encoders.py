@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GRUCellWeights, Tensor, bigru_layer
-from .errors import DimensionError, PhaseError, ValidationError
+from .errors import DimensionError, ValidationError
 
 # clamp on every emitted log-variance, so exp(log_var) stays finite
 LOG_VAR_MIN = -10.0
@@ -122,12 +122,6 @@ class GaussianParams:
     log_var: Tensor  # [B, d_z], clamped
 
 
-@dataclass
-class LatentSample:
-    z: Tensor
-    eps: np.ndarray
-
-
 def _gaussian_head(x: Tensor, w: AffineWeights, d_z: int) -> GaussianParams:
     out = affine(x, w)
     if out.shape[1] != 2 * d_z:
@@ -137,11 +131,9 @@ def _gaussian_head(x: Tensor, w: AffineWeights, d_z: int) -> GaussianParams:
     return GaussianParams(mu, log_var)
 
 
-def recognition(pooled_post: Tensor, pooled_resp: Tensor | None, w: AffineWeights,
+def recognition(pooled_post: Tensor, pooled_resp: Tensor, w: AffineWeights,
                 d_z: int) -> GaussianParams:
     """q(z | x, y) from the concatenated pooled encodings. Training only."""
-    if pooled_resp is None:
-        raise PhaseError("recognition needs a response encoding; use the prior at inference")
     return _gaussian_head(ad.concat([pooled_post, pooled_resp], axis=1), w, d_z)
 
 
@@ -150,15 +142,14 @@ def prior(pooled_post: Tensor, w: AffineWeights, d_z: int) -> GaussianParams:
     return _gaussian_head(pooled_post, w, d_z)
 
 
-def sample(params: GaussianParams, eps: np.ndarray) -> LatentSample:
+def sample(params: GaussianParams, eps: np.ndarray) -> Tensor:
     """Reparameterized draw z = mu + exp(log_var / 2) * eps; the caller owns
     the noise stream."""
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != params.mu.shape:
         raise DimensionError(f"eps shape {eps.shape} does not match mu shape {params.mu.shape}")
     std = ad.exp(ad.mul(params.log_var, 0.5))
-    z = ad.add(params.mu, ad.mul(std, Tensor(eps)))
-    return LatentSample(z, eps)
+    return ad.add(params.mu, ad.mul(std, Tensor(eps)))
 
 
 def kl_divergence(q: GaussianParams, p: GaussianParams) -> Tensor:

@@ -22,14 +22,6 @@ class MaskError(FocusCVAEError, ValueError):
     """A mask leaves no valid position to operate on."""
 
 
-class PhaseError(FocusCVAEError, RuntimeError):
-    """An operation was invoked in the wrong phase (e.g. recognition at inference)."""
-
-
-class SequencingError(FocusCVAEError, RuntimeError):
-    """Stateful steps were applied out of order."""
-
-
 class ConfigError(FocusCVAEError, ValueError):
     """Invalid or inconsistent configuration."""
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionError, SequencingError, ValidationError
+from .errors import DimensionError, ValidationError
 
 LOG_FOCUS_FLOOR = 1e-30
 
@@ -69,18 +69,6 @@ def focus_generate(features_flat: Tensor, post_mask: np.ndarray, z: Tensor,
 
 
 @dataclass
-class CoverageVector:
-    """Running Σ_t α_t per post position, plus the step it is current for."""
-
-    d: Tensor  # [B, T]
-    step: int
-
-    @classmethod
-    def fresh(cls, batch: int, length: int) -> "CoverageVector":
-        return cls(Tensor(np.zeros((batch, length))), 0)
-
-
-@dataclass
 class AttentionSetup:
     """Per-decode precomputation: state projections that are constant in t."""
 
@@ -117,22 +105,20 @@ def build_attention(states_flat: Tensor, context_flat: Tensor, post_mask: np.nda
     )
 
 
-def attend_step(setup: AttentionSetup, s_prev: Tensor, coverage: CoverageVector,
-                t: int, update_mask: np.ndarray | None = None
-                ) -> tuple[Tensor, Tensor, CoverageVector]:
-    """One attention read at decode step t (1-based).
+def attend_step(setup: AttentionSetup, s_prev: Tensor, coverage: Tensor,
+                update_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor, Tensor]:
+    """One attention read; coverage [B, T] is the running sum of the earlier
+    steps' attention weights (zeros before the first step).
 
     Returns (alpha [B, T], context [B, d_h], updated coverage).  Rows where
     update_mask is 0 keep their coverage unchanged, which is how padded or
     already-finished sequences sit out a batched step.
     """
-    if coverage.step != t - 1:
-        raise SequencingError(f"coverage is current for step {coverage.step}, cannot attend at step {t}")
     b, length = setup.post_mask.shape
     energy = ad.add(setup.base, ad.repeat_rows(ad.matmul(s_prev, setup.weights.U_a), length))
     if setup.weights.V_a is not None:
         summary = ad.sum_groups(
-            ad.scale_rows(setup.states_flat, ad.reshape(coverage.d, (b * length, 1))), length)
+            ad.scale_rows(setup.states_flat, ad.reshape(coverage, (b * length, 1))), length)
         energy = ad.add(energy, ad.repeat_rows(ad.matmul(summary, setup.weights.V_a), length))
     scores = ad.reshape(ad.matmul(ad.tanh(energy), setup.weights.v_a), (b, length))
     if setup.log_focus is not None:
@@ -142,7 +128,7 @@ def attend_step(setup: AttentionSetup, s_prev: Tensor, coverage: CoverageVector,
         ad.scale_rows(setup.context_flat, ad.reshape(alpha, (b * length, 1))), length)
     increment = alpha if update_mask is None else ad.scale_rows(
         alpha, Tensor(np.asarray(update_mask, dtype=np.float64).reshape(b, 1)))
-    return alpha, context, CoverageVector(ad.add(coverage.d, increment), t)
+    return alpha, context, ad.add(coverage, increment)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import TrainConfig, uses_coverage_term, uses_latent
 from .corpus import Batch
-from .decoder import (DecoderWeights, GenerationResult, decode_train, greedy_decode,
-                      init_decoder_weights, initial_states)
-from .encoders import (AffineWeights, EncoderOutputs, GaussianParams, LatentSample,
-                       encode, init_encoder_weights, kl_divergence, prior, recognition, sample)
+from .decoder import (GenerationResult, decode_train, greedy_decode, init_decoder_weights,
+                      initial_states)
+from .encoders import (AffineWeights, EncoderOutputs, GaussianParams, encode,
+                       init_encoder_weights, prior, recognition, sample)
 from .errors import DimensionError, ValidationError
-from .focus import (AttentionSetup, AttentionWeights, CoverageVector, FocusWeights,
-                    build_attention, focus_generate)
+from .focus import AttentionSetup, AttentionWeights, FocusWeights, build_attention, focus_generate
 
 # Init gain of the focus query's bias v_f.  It does not make the untrained
 # focus peaked: on the desk shapes (ten training batches, posterior z) the
@@ -53,12 +52,12 @@ class ForwardPass:
     """Everything the loss terms need from one teacher-forced pass."""
 
     logits_flat: Tensor            # [B*T, V]
-    coverage: CoverageVector
+    coverage: Tensor               # [B, Tx] attention summed over the response steps
     alphas: list[Tensor]           # per-step attention rows, [B, Tx] each
     focus: Tensor | None           # [B, Tx]
     q: GaussianParams | None
     p: GaussianParams | None
-    latent: LatentSample | None
+    z: Tensor | None               # [B, d_z] draw from q
     post_enc: EncoderOutputs
 
 
@@ -164,15 +163,14 @@ class FocusCVAE:
         if uses_latent(self.cfg.variant):
             resp_enc = self.encode_sequences(batch.resp_ids, batch.resp_mask)
             q, p = self.latent_posterior(post_enc, resp_enc)
-            lat = sample(q, eps)
-            z = lat.z
+            z = sample(q, eps)
         else:
-            q = p = lat = z = None
+            q = p = z = None
         f, setup = self._focus_and_setup(post_enc, batch.post_ids, batch.post_mask, z)
         init = initial_states(self._conditioning(post_enc, z), self.decoder)
         logits_flat, coverage, alphas = decode_train(
             batch.resp_ids, batch.resp_mask, setup, self.embedding, self.decoder, init)
-        return ForwardPass(logits_flat, coverage, alphas, f, q, p, lat, post_enc)
+        return ForwardPass(logits_flat, coverage, alphas, f, q, p, z, post_enc)
 
     def bow_logits(self, z: Tensor, post_enc: EncoderOutputs) -> Tensor:
         h = ad.tanh(ad.bias_add(ad.matmul(ad.concat([z, post_enc.pooled], axis=1),
@@ -190,7 +188,7 @@ class FocusCVAE:
             if eps_rows is None:
                 raise ValidationError("latent variants need one eps row per generation")
             p = prior(post_enc.pooled, self.prior, self.cfg.d_z)
-            z = sample(p, eps_rows).z
+            z = sample(p, eps_rows)
         else:
             if eps_rows is not None:
                 raise ValidationError("s2s takes no latent draws")

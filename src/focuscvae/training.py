@@ -76,18 +76,18 @@ def seq_loss(logits_flat: Tensor, gold_flat: np.ndarray, mask_flat: np.ndarray) 
     return ad.mul(ad.sum_all(kept), -1.0 / count)
 
 
-def focus_loss(coverage_d: Tensor, resp_lengths: np.ndarray, focus: Tensor) -> Tensor:
+def focus_loss(coverage: Tensor, resp_lengths: np.ndarray, focus: Tensor) -> Tensor:
     """Batch mean of || coverage/|y| - focus ||_2 per row (both sides live
     on the tape, so the constraint shapes attention and focus alike)."""
     lengths = np.asarray(resp_lengths, dtype=np.float64).reshape(-1, 1)
     if (lengths < 1).any():
         raise ValidationError("every response needs a positive length")
-    if coverage_d.shape != focus.shape:
-        raise ValidationError(f"coverage {coverage_d.shape} vs focus {focus.shape}")
-    over_len = ad.scale_rows(coverage_d, Tensor(1.0 / lengths))
+    if coverage.shape != focus.shape:
+        raise ValidationError(f"coverage {coverage.shape} vs focus {focus.shape}")
+    over_len = ad.scale_rows(coverage, Tensor(1.0 / lengths))
     diff = ad.add(over_len, ad.neg(focus))
     row_norms = ad.sqrt(ad.sum_cols(ad.mul(diff, diff)))
-    return ad.mul(ad.sum_all(row_norms), 1.0 / coverage_d.shape[0])
+    return ad.mul(ad.sum_all(row_norms), 1.0 / coverage.shape[0])
 
 
 def bow_loss(bow_logits: Tensor, resp_ids: np.ndarray, resp_mask: np.ndarray) -> Tensor:
@@ -116,43 +116,27 @@ class LossBreakdown:
     total: float
 
 
-def total_loss(model: FocusCVAE, batch: Batch, eps_samples: np.ndarray | None,
+def total_loss(model: FocusCVAE, batch: Batch, eps: np.ndarray | None,
                gamma: float) -> tuple[Tensor, LossBreakdown]:
     """Assemble the variant-gated objective for one batch.
 
-    eps_samples is [n_samples, B, d_z] for latent variants (None for s2s);
-    with several samples the z-dependent terms are averaged.
+    eps is the [B, d_z] noise of the batch's one latent draw (None for s2s).
     """
     cfg = model.cfg
     latent = uses_latent(cfg.variant)
     zero = Tensor(0.0)
-    if latent:
-        if eps_samples is None:
-            raise ValidationError("latent variants need eps draws for training")
-        draws = [model.forward_train(batch, eps_samples[k])
-                 for k in range(eps_samples.shape[0])]
-    else:
-        draws = [model.forward_train(batch, None)]
+    if latent and eps is None:
+        raise ValidationError("latent variants need an eps draw for training")
+    fp = model.forward_train(batch, eps)
 
-    def averaged(terms: list[Tensor]) -> Tensor:
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = ad.add(acc, t)
-        return acc if len(terms) == 1 else ad.mul(acc, 1.0 / len(terms))
-
-    gold = batch.resp_ids.reshape(-1)
-    mask = batch.resp_mask.reshape(-1)
-    l_seq = averaged([seq_loss(fp.logits_flat, gold, mask) for fp in draws])
+    l_seq = seq_loss(fp.logits_flat, batch.resp_ids.reshape(-1), batch.resp_mask.reshape(-1))
     if uses_focus_loss(cfg.variant):
-        l_foc = averaged([focus_loss(fp.coverage.d, batch.resp_lengths, fp.focus)
-                          for fp in draws])
+        l_foc = focus_loss(fp.coverage, batch.resp_lengths, fp.focus)
     else:
         l_foc = zero
     if latent:
-        fp0 = draws[0]  # KL is analytic in (q, p); identical across draws
-        l_kl = ad.mul(ad.sum_all(kl_divergence(fp0.q, fp0.p)), 1.0 / batch.size)
-        l_bow = averaged([bow_loss(model.bow_logits(fp.latent.z, fp.post_enc),
-                                   batch.resp_ids, batch.resp_mask) for fp in draws])
+        l_kl = ad.mul(ad.sum_all(kl_divergence(fp.q, fp.p)), 1.0 / batch.size)
+        l_bow = bow_loss(model.bow_logits(fp.z, fp.post_enc), batch.resp_ids, batch.resp_mask)
     else:
         l_kl = zero
         l_bow = zero
@@ -191,8 +175,8 @@ class Adam:
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm.
-    max_norm <= 0 disables clipping; returns the pre-clip norm.
+    """Scale all gradients so their global L2 norm is at most max_norm;
+    returns the pre-clip norm.
 
     A non-finite norm raises NumericalError before any gradient is scaled,
     naming the first parameter whose gradient holds a NaN or an infinity.
@@ -207,7 +191,7 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
                     if p.grad is not None and not np.isfinite(p.grad).all()), None)
         raise NumericalError(f"non-finite gradient for {bad}" if bad is not None
                              else f"gradient norm overflows: squared norm {total}")
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         factor = max_norm / norm
         for p in params.values():
             if p.grad is not None:
@@ -219,7 +203,7 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 # checkpointing
 
 CHECKPOINT_MAGIC = b"FCVK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
@@ -385,7 +369,7 @@ def _latent_eps(cfg: TrainConfig, step: int, batch_size: int) -> np.ndarray | No
     if not uses_latent(cfg.variant):
         return None
     rng = np.random.default_rng([cfg.seed, 2, step])
-    return rng.standard_normal((cfg.n_latent_samples, batch_size, cfg.d_z))
+    return rng.standard_normal((batch_size, cfg.d_z))
 
 
 @dataclass
@@ -457,7 +441,6 @@ def train(cfg: TrainConfig, pairs: list[PostResponsePair], out_dir=None,
     n_batches = math.ceil(len(pairs) / cfg.batch_size)
     cached_epoch, order = -1, None
     rows: list[str] = []
-    final_state = None
     try:
         for step in range(start_step, cfg.total_steps):
             epoch, slot = divmod(step, n_batches)
@@ -496,11 +479,6 @@ def train(cfg: TrainConfig, pairs: list[PostResponsePair], out_dir=None,
     finally:
         if log_fh is not None:
             log_fh.close()
-
-    if final_state is None:  # total_steps not aligned with the interval
-        final_state = checkpoint_from(model, adam, cfg.total_steps, meta)
-        if ckpt_path is not None:
-            save_checkpoint(ckpt_path, final_state)
     return TrainResult(model, adam, rows, final_state, log_path, ckpt_path)
 
 

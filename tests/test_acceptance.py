@@ -129,7 +129,7 @@ def test_criterion_2_distribution_invariants():
             assert np.all(f[pad] == 0.0), "focus must be exactly 0 at PAD"
 
         # replay coverage from the recorded per-step attention rows
-        running = np.zeros_like(fp.coverage.d.data)
+        running = np.zeros_like(fp.coverage.data)
         steps_taken = np.zeros(batch.size)
         for t, alpha in enumerate(fp.alphas):
             a = alpha.data
@@ -142,7 +142,7 @@ def test_criterion_2_distribution_invariants():
             steps_taken += update
             assert np.all(np.abs(running.sum(axis=1) - steps_taken) <= 1e-6), \
                 "coverage total must equal steps taken"
-        np.testing.assert_allclose(running, fp.coverage.d.data, atol=1e-9)
+        np.testing.assert_allclose(running, fp.coverage.data, atol=1e-9)
         checked += 1
     report("criterion 2", checked == 1000,
            f"{checked} forward passes; focus/attention rows sum to 1 +/- 1e-9 with "
@@ -155,7 +155,7 @@ def test_criterion_3_loss_identities():
         variant = VARIANT_CYCLE[i % 4]
         model = random_micro_model(rng, variant)
         batch = random_batch(rng)
-        eps = (rng.standard_normal((1, batch.size, model.cfg.d_z))
+        eps = (rng.standard_normal((batch.size, model.cfg.d_z))
                if uses_latent(variant) else None)
         gamma = float(rng.uniform(0.0, 1.0))
         _, b = tr.total_loss(model, batch, eps, gamma)

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from focuscvae.cli import main
+from focuscvae.corpus import GrammarConfig, generate_synthetic, save_jsonl, split_records
 from focuscvae.training import load_checkpoint
 
 
@@ -162,6 +163,17 @@ def test_generate_checks_its_sizes(workspace, tmp_path, capsys):
     assert (tmp_path / "gen" / "generations.jsonl").read_text() == ""
 
 
+def test_make_corpus_writes_the_desk_grammar(tmp_path):
+    assert main(["make-corpus", "--seed", "7", "--n-pairs", "120", "--holdout", "5",
+                 "--out", str(tmp_path / "cli")]) == 0
+    records, _ = generate_synthetic(7, 120, GrammarConfig(post_len=14, n_keywords=20))
+    train, test = split_records(records, 5, 7)
+    save_jsonl(train, tmp_path / "corpus.jsonl")
+    save_jsonl(test, tmp_path / "test.jsonl")
+    for name in ("corpus.jsonl", "test.jsonl"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
 def test_gradcheck_exits_zero_on_pass(capsys):
     assert main(["gradcheck", "--variant", "s2s", "--seed", "1"]) == 0
     assert "pass" in capsys.readouterr().out.lower()
@@ -206,6 +218,8 @@ def test_conflicting_vocab_size_is_rejected(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("payload", [
     {"paper_init": "no"}, {"batch_size": True}, {"d_h": 8.0}, {"d_h": "64"},
     {"peak_lr": "0.1"}, {"seed": -1},
+    {"w_bow": -1}, {"w_foc": -5.0}, {"init_scale": 0.0}, {"init_scale": -0.5},
+    {"init_scale": math.inf}, {"w_foc": math.nan},
 ])
 def test_config_values_of_the_wrong_type_are_rejected(workspace, tmp_path, capsys, payload):
     data = workspace / "data"

@@ -9,7 +9,7 @@ from focuscvae import corpus
 from focuscvae.corpus import (
     EOS_ID, PAD_ID, UNK_ID, Batch, GrammarConfig, PostRecord, Vocabulary,
     collate, content_for_keyword, generate_synthetic, grammar_vocabulary,
-    keyword_positions, load_jsonl, make_batches, marked_positions, save_jsonl,
+    keyword_positions, load_jsonl, marked_positions, save_jsonl,
     split_records, to_pairs,
 )
 from focuscvae.errors import ConfigError, ParseError, ValidationError
@@ -62,20 +62,20 @@ def test_generate_synthetic_pair_count_and_structure():
     assert sum(len(r.responses) for r in records) == 30
     cfg = GrammarConfig()
     for r in records:
-        assert len(marked_positions(r.post)) == cfg.n_slots
-        assert len(keyword_positions(r.post)) == cfg.n_slots + cfg.n_distractors
+        assert len(marked_positions(r.post)) == corpus.N_SLOTS
+        assert len(keyword_positions(r.post)) == corpus.N_SLOTS + corpus.N_DISTRACTORS
         assert len(r.post) <= cfg.post_len
         assert len(r.responses) == len(r.gold_focus_slot)
         kw = [r.post[i] for i in marked_positions(r.post)]
         decoys = [r.post[i] for i in keyword_positions(r.post) if r.post[i] not in kw]
         for resp, slot in zip(r.responses, r.gold_focus_slot):
-            assert 0 <= slot < cfg.n_slots
+            assert 0 <= slot < corpus.N_SLOTS
             # the paired content token shows up in the response
             assert content_for_keyword(kw[slot]) in resp
             # distractor contents never do
             assert all(content_for_keyword(d) not in resp for d in decoys)
         # full posts cover at least two distinct slots
-        if len(r.responses) >= cfg.n_slots:
+        if len(r.responses) >= corpus.N_SLOTS:
             assert len(set(r.gold_focus_slot)) >= 2
 
 
@@ -145,24 +145,6 @@ def test_collate_masks_and_lengths():
     # per-batch max padding: at least one row fills the width
     assert (batch.post_mask.sum(axis=1) == batch.post_ids.shape[1]).any()
     assert (batch.resp_mask.sum(axis=1) == batch.resp_ids.shape[1]).any()
-
-
-def test_make_batches_partitions_every_pair_once():
-    records, vocab = generate_synthetic(seed=9, n_pairs=10)
-    pairs = to_pairs(records, vocab)
-    batches = make_batches(pairs, batch_size=4, seed=1)
-    assert [b.size for b in batches] == [4, 4, 2]
-    seen = []
-    for b in batches:
-        for i in range(b.size):
-            seen.append((tuple(b.post_ids[i][b.post_mask[i]]), tuple(b.resp_ids[i][b.resp_mask[i]])))
-    expected = [(tuple(p.post), tuple(p.response)) for p in pairs]
-    assert sorted(seen) == sorted(expected)
-    again = make_batches(pairs, batch_size=4, seed=1)
-    np.testing.assert_array_equal(batches[0].post_ids, again[0].post_ids)
-    # a different epoch reshuffles
-    other = make_batches(pairs, batch_size=4, seed=1, epoch=1)
-    assert any(not np.array_equal(a.resp_ids, b.resp_ids) for a, b in zip(batches, other))
 
 
 def test_split_records_deterministic_and_disjoint():

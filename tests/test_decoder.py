@@ -79,7 +79,7 @@ class TestTeacherForcing:
         fp = model.forward_train(batch, eps)
         assert fp.logits_flat.shape == (3 * 4, model.cfg.vocab_size)
         assert fp.focus.shape == batch.post_ids.shape
-        assert fp.coverage.d.shape == batch.post_ids.shape
+        assert fp.coverage.shape == batch.post_ids.shape
 
     def test_coverage_total_matches_true_lengths(self):
         model = micro_model()
@@ -89,7 +89,7 @@ class TestTeacherForcing:
         batch = collate([short, long])
         eps = np.zeros((batch.size, model.cfg.d_z))
         fp = model.forward_train(batch, eps)
-        totals = fp.coverage.d.data.sum(axis=1)
+        totals = fp.coverage.data.sum(axis=1)
         np.testing.assert_allclose(totals, [2.0, 4.0], atol=1e-9)
 
 

@@ -9,7 +9,7 @@ from focuscvae.encoders import (
     AffineWeights, GaussianParams, encode, init_encoder_weights, init_gru_cell,
     kl_divergence, prior, recognition, sample,
 )
-from focuscvae.errors import DimensionError, PhaseError, ValidationError
+from focuscvae.errors import DimensionError, ValidationError
 
 
 def make_embedding(rng, vocab, d, scale=0.5):
@@ -110,15 +110,6 @@ def test_encoder_gradients_match_finite_differences():
     assert report.passed, report.format()
 
 
-def test_recognition_requires_response():
-    rng = np.random.default_rng(7)
-    w = AffineWeights(Tensor(rng.normal(size=(8, 4)), requires_grad=True),
-                      Tensor(np.zeros(4), requires_grad=True))
-    pooled = Tensor(rng.normal(size=(1, 4)))
-    with pytest.raises(PhaseError):
-        recognition(pooled, None, w, d_z=2)
-
-
 def test_heads_split_mu_and_clamped_log_var():
     pooled = Tensor(np.full((1, 2), 100.0))
     w = AffineWeights(Tensor(np.ones((2, 4))), Tensor(np.zeros(4)))
@@ -147,13 +138,13 @@ def test_recognition_and_prior_share_nothing():
 def test_sample_mean_at_zero_eps():
     params = GaussianParams(Tensor([[0.3, -0.7]]), Tensor([[0.0, 0.0]]))
     drawn = sample(params, eps=np.zeros((1, 2)))
-    np.testing.assert_allclose(drawn.z.data, [[0.3, -0.7]], atol=1e-15)
+    np.testing.assert_allclose(drawn.data, [[0.3, -0.7]], atol=1e-15)
 
 
 def test_sample_scales_eps_by_std():
     params = GaussianParams(Tensor([[0.0]]), Tensor([[np.log(4.0)]]))
     drawn = sample(params, eps=np.array([[1.0]]))
-    assert drawn.z.data[0, 0] == pytest.approx(2.0, abs=1e-12)
+    assert drawn.data[0, 0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_reparameterization_gradient_with_frozen_eps():
@@ -164,7 +155,7 @@ def test_reparameterization_gradient_with_frozen_eps():
     eps = rng.standard_normal((1, 3))
 
     def f():
-        return ad.sum_all(sample(GaussianParams(mu, log_var), eps=eps).z)
+        return ad.sum_all(sample(GaussianParams(mu, log_var), eps=eps))
 
     report = grad_check(f, {"mu": mu, "log_var": log_var}, h=1e-5, tol=1e-6)
     assert report.passed, report.format()

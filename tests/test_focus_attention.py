@@ -8,9 +8,9 @@ import pytest
 
 from focuscvae import autodiff as ad
 from focuscvae.autodiff import Tensor, grad_check
-from focuscvae.errors import MaskError, SequencingError, ValidationError
+from focuscvae.errors import MaskError, ValidationError
 from focuscvae.focus import (
-    AttentionWeights, CoverageVector, FocusWeights, attend_step, build_attention,
+    AttentionWeights, FocusWeights, attend_step, build_attention,
     coverage_report, focus_generate,
 )
 
@@ -68,12 +68,12 @@ def run_attention_steps(rng, n_steps, b=2, t=4, d_h=6, seed_states=None, update_
     focus = Tensor(np.random.default_rng(99).dirichlet(np.ones(t), size=b))
     w = make_attention_weights(rng, d_h, d_h)
     setup = build_attention(states, states, np.ones((b, t), dtype=bool), w, focus=focus)
-    cov = CoverageVector.fresh(b, t)
+    cov = Tensor(np.zeros((b, t)))
     alphas, contexts = [], []
-    for step in range(1, n_steps + 1):
+    for step in range(n_steps):
         s_prev = Tensor(rng.normal(size=(b, d_h)))
-        um = None if update_masks is None else update_masks[step - 1]
-        alpha, context, cov = attend_step(setup, s_prev, cov, step, update_mask=um)
+        um = None if update_masks is None else update_masks[step]
+        alpha, context, cov = attend_step(setup, s_prev, cov, update_mask=um)
         alphas.append(alpha)
         contexts.append(context)
     return alphas, contexts, cov, setup
@@ -91,23 +91,14 @@ def test_coverage_accumulates_and_is_monotone():
     n_steps = 5
     alphas, _, cov, _ = run_attention_steps(rng, n_steps)
     # brute-force re-accumulation of the per-step weights
-    expected = np.zeros_like(cov.d.data)
-    prev = np.zeros_like(cov.d.data)
+    expected = np.zeros_like(cov.data)
+    prev = np.zeros_like(cov.data)
     for a in alphas:
         expected += a.data
         assert (expected - prev >= -1e-15).all()  # entrywise monotone
         prev = expected.copy()
-    np.testing.assert_allclose(cov.d.data, expected, atol=1e-12)
-    np.testing.assert_allclose(cov.d.data.sum(axis=1), float(n_steps), atol=1e-6)
-    assert cov.step == n_steps
-
-
-def test_attend_step_rejects_out_of_order_calls():
-    rng = np.random.default_rng(6)
-    _, _, cov, setup = run_attention_steps(rng, 2)
-    s_prev = Tensor(rng.normal(size=(2, 6)))
-    with pytest.raises(SequencingError):
-        attend_step(setup, s_prev, cov, 5)  # coverage is current for step 2
+    np.testing.assert_allclose(cov.data, expected, atol=1e-12)
+    np.testing.assert_allclose(cov.data.sum(axis=1), float(n_steps), atol=1e-6)
 
 
 def test_coverage_term_gates_by_variant():
@@ -122,10 +113,10 @@ def test_coverage_term_gates_by_variant():
     for sensitive in (False, True):
         w = make_attention_weights(np.random.default_rng(8), d_h, d_h, coverage=sensitive)
         setup = build_attention(states, states, mask, w, focus=focus)
-        fresh = CoverageVector.fresh(b, t)
-        loaded = CoverageVector(Tensor(np.full((b, t), 0.25)), 0)
-        a1, _, _ = attend_step(setup, s_prev, fresh, 1)
-        a2, _, _ = attend_step(setup, s_prev, loaded, 1)
+        fresh = Tensor(np.zeros((b, t)))
+        loaded = Tensor(np.full((b, t), 0.25))
+        a1, _, _ = attend_step(setup, s_prev, fresh)
+        a2, _, _ = attend_step(setup, s_prev, loaded)
         if sensitive:
             assert not np.allclose(a1.data, a2.data)
         else:
@@ -146,9 +137,9 @@ def test_uniform_focus_leaves_attention_as_without_focus():
         runs = []
         for focus in (uniform, None):
             setup = build_attention(states, states, mask, w, focus=focus)
-            cov, alphas = CoverageVector.fresh(b, t), []
-            for step, s_prev in enumerate(s_prevs, start=1):
-                alpha, _, cov = attend_step(setup, s_prev, cov, step)
+            cov, alphas = Tensor(np.zeros((b, t))), []
+            for s_prev in s_prevs:
+                alpha, _, cov = attend_step(setup, s_prev, cov)
                 alphas.append(alpha.data)
             runs.append(alphas)
         for with_focus, without in zip(*runs):
@@ -170,8 +161,8 @@ def test_update_mask_freezes_rows():
     rng = np.random.default_rng(12)
     masks = [np.array([1.0, 1.0]), np.array([1.0, 0.0]), np.array([1.0, 0.0])]
     _, _, cov, _ = run_attention_steps(rng, 3, update_masks=masks)
-    np.testing.assert_allclose(cov.d.data[0].sum(), 3.0, atol=1e-9)
-    np.testing.assert_allclose(cov.d.data[1].sum(), 1.0, atol=1e-9)
+    np.testing.assert_allclose(cov.data[0].sum(), 3.0, atol=1e-9)
+    np.testing.assert_allclose(cov.data[1].sum(), 1.0, atol=1e-9)
 
 
 def test_focus_prior_sets_attention_when_step_scores_are_flat():
@@ -187,7 +178,7 @@ def test_focus_prior_sets_attention_when_step_scores_are_flat():
     w.v_a = Tensor(np.zeros((d_h, 1)))
     setup = build_attention(states, states, mask, w, focus=focus)
     alpha, _, _ = attend_step(setup, Tensor(rng.normal(size=(b, d_h))),
-                              CoverageVector.fresh(b, t), 1)
+                              Tensor(np.zeros((b, t))))
     np.testing.assert_allclose(alpha.data, focus.data, atol=1e-12)
     assert (alpha.data[~mask] == 0.0).all()
 
@@ -207,13 +198,13 @@ def _check_focus_attention_gradients(focus_prior: bool):
         # the focus reaches the attention only as its prior
         focus = focus_generate(states, mask, z, fw) if focus_prior else None
         setup = build_attention(states, states, mask, aw, focus=focus)
-        cov = CoverageVector.fresh(b, t)
+        cov = Tensor(np.zeros((b, t)))
         total = None
-        for step in (1, 2):
-            alpha, context, cov = attend_step(setup, s_prev, cov, step)
+        for _ in range(2):
+            alpha, context, cov = attend_step(setup, s_prev, cov)
             term = ad.add(ad.sum_all(ad.mul(context, context)), ad.sum_all(ad.mul(alpha, alpha)))
             total = term if total is None else ad.add(total, term)
-        return ad.add(total, ad.sum_all(ad.mul(cov.d, cov.d)))
+        return ad.add(total, ad.sum_all(ad.mul(cov, cov)))
 
     params = {"states": states, "s_prev": s_prev, **aw.named("att")}
     if focus_prior:

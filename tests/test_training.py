@@ -182,7 +182,7 @@ class TestTotalLoss:
             model = micro_model(variant)
             for _ in range(10):
                 batch = random_micro_batch(rng)
-                eps = (rng.standard_normal((1, batch.size, 4))
+                eps = (rng.standard_normal((batch.size, 4))
                        if variant != "s2s" else None)
                 gamma = float(rng.uniform(0, 1))
                 total, b = tr.total_loss(model, batch, eps, gamma)
@@ -195,7 +195,7 @@ class TestTotalLoss:
         batch = random_micro_batch(rng)
         _, b = tr.total_loss(micro_model("s2s"), batch, None, 0.7)
         assert b.l_kl == 0.0 and b.l_bow == 0.0 and b.l_foc == 0.0
-        eps = rng.standard_normal((1, batch.size, 4))
+        eps = rng.standard_normal((batch.size, 4))
         _, b = tr.total_loss(micro_model("foc"), batch, eps, 0.7)
         assert b.l_foc == 0.0 and b.l_kl > 0.0
         _, b = tr.total_loss(micro_model("foccoverage"), batch, eps, 0.7)
@@ -208,7 +208,7 @@ class TestTotalLoss:
         model = micro_model()
         for _ in range(20):
             batch = random_micro_batch(rng)
-            eps = rng.standard_normal((1, batch.size, 4))
+            eps = rng.standard_normal((batch.size, 4))
             _, b = tr.total_loss(model, batch, eps, 1.0)
             assert b.l_kl >= -1e-9
 
@@ -216,16 +216,6 @@ class TestTotalLoss:
         batch = random_micro_batch(np.random.default_rng(0))
         with pytest.raises(ValidationError):
             tr.total_loss(micro_model("foc"), batch, None, 1.0)
-
-    def test_multi_sample_averages(self):
-        rng = np.random.default_rng(31)
-        model = micro_model(n_latent_samples=3)
-        batch = random_micro_batch(rng)
-        eps = rng.standard_normal((3, batch.size, 4))
-        _, b3 = tr.total_loss(model, batch, eps, 1.0)
-        singles = [tr.total_loss(model, batch, eps[k:k + 1], 1.0)[1] for k in range(3)]
-        assert b3.l_seq == pytest.approx(np.mean([s.l_seq for s in singles]), abs=1e-12)
-        assert b3.l_kl == pytest.approx(singles[0].l_kl, abs=1e-15)
 
 
 class TestAdam:
@@ -272,13 +262,6 @@ class TestClipping:
         a.grad = np.array([0.3, 0.4])
         tr.clip_gradients({"a": a}, 5.0)
         np.testing.assert_array_equal(a.grad, [0.3, 0.4])
-
-    def test_zero_cap_disables(self):
-        a = Tensor(np.zeros(2), requires_grad=True)
-        a.grad = np.array([300.0, 400.0])
-        norm = tr.clip_gradients({"a": a}, 0.0)
-        assert norm == pytest.approx(500.0)
-        np.testing.assert_array_equal(a.grad, [300.0, 400.0])
 
     def test_nan_gradient_behind_a_finite_loss_raises_before_scaling(self):
         a = Tensor(np.array([3.0, 4.0]), requires_grad=True)
@@ -396,6 +379,31 @@ class TestTrainLoop:
         tr.train(cfg, pairs, out_dir=tmp_path / "b")
         assert ((tmp_path / "a" / "loss_log.csv").read_bytes()
                 == (tmp_path / "b" / "loss_log.csv").read_bytes())
+
+    def test_each_epoch_collates_every_pair_once_in_a_seeded_order(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        pairs = [PostResponsePair(rng.integers(3, 7, size=3).astype(np.int64),
+                                  np.array([int(rng.integers(3, 7)), EOS_ID], dtype=np.int64))
+                 for _ in range(10)]
+        index = {id(p): i for i, p in enumerate(pairs)}
+        real, seen = tr.collate, []
+
+        def recording(chosen):
+            seen.append([index[id(p)] for p in chosen])
+            return real(chosen)
+
+        monkeypatch.setattr(tr, "collate", recording)
+        cfg = micro_cfg(batch_size=4, total_steps=6)  # two epochs of 10 pairs
+        tr.train(cfg, pairs)
+        first = list(seen)
+        seen.clear()
+        tr.train(cfg, pairs)
+        assert seen == first
+        epochs = [first[:3], first[3:]]
+        for batches in epochs:
+            assert [len(b) for b in batches] == [4, 4, 2]
+            assert sorted(i for b in batches for i in b) == list(range(10))
+        assert epochs[0] != epochs[1]
 
     def test_log_layout(self, tmp_path):
         pairs, vocab = tiny_corpus()
