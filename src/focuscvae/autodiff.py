@@ -109,22 +109,32 @@ class Tape:
         tapes produce bit-identical gradients.  A tensor's gradient is the
         left-to-right sum of its parts in visiting order; within one node,
         the parts of an input listed several times are added in listed order.
+
+        A first part is kept as its rule returned it, which may be an array
+        the rule also handed elsewhere or a view; the second is added into a
+        fresh array that the tape owns, and later parts go into that one in
+        place.
         """
         if root.size != 1:
             raise DimensionError(f"backward root must be scalar, got shape {root.shape}")
         grads: dict[int, Array] = {id(root): np.ones_like(root.data)}
         holders: dict[int, Tensor] = {id(root): root}
+        owned: set[int] = set()  # keys whose gradient is an array of the tape's own
         produced = {id(node.out) for node in self.nodes}
         for node in reversed(self.nodes):
             g = grads.pop(id(node.out), None)
             if g is None:
                 continue  # dead branch: output never influenced the root
+            owned.discard(id(node.out))
             for inp, gi in zip(node.inputs, node.backward(g)):
                 if gi is None:
                     continue
                 key = id(inp)
-                if key in grads:
+                if key in owned:
+                    grads[key] += gi
+                elif key in grads:
                     grads[key] = grads[key] + gi
+                    owned.add(key)
                 else:
                     grads[key] = gi
                     holders[key] = inp

@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -31,9 +32,29 @@ def ngram_counts(seq, n: int) -> Counter:
     return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
 
 
+class NGrams(NamedTuple):
+    """A sequence's length and n-gram counts; by_n[n - 1] counts its n-grams."""
+
+    length: int
+    by_n: tuple[Counter, ...]
+
+
+def count_groups(groups: list[list[Seq]], max_n: int) -> list[list[NGrams]]:
+    """Counts every sequence's n-grams for n = 1..max_n."""
+    return [[NGrams(len(s), tuple(ngram_counts(s, n) for n in range(1, max_n + 1)))
+             for s in g] for g in groups]
+
+
 def multi_bleu(hyps_per_post: list[list[Seq]], refs_per_post: list[list[Seq]],
                max_n: int) -> float:
     """Corpus BLEU-max_n of every hypothesis against its post's references."""
+    return bleu_from_counts(count_groups(hyps_per_post, max_n),
+                            count_groups(refs_per_post, max_n), max_n)
+
+
+def bleu_from_counts(hyps_per_post: list[list[NGrams]], refs_per_post: list[list[NGrams]],
+                     max_n: int) -> float:
+    """multi_bleu over sequences counted up to at least max_n."""
     if max_n < 1:
         raise ValidationError("max_n must be at least 1")
     if len(hyps_per_post) != len(refs_per_post):
@@ -51,18 +72,18 @@ def multi_bleu(hyps_per_post: list[list[Seq]], refs_per_post: list[list[Seq]],
             raise ValidationError("every post needs at least one reference")
         ref_caps = [Counter() for _ in range(max_n)]
         for r in refs:
-            for n in range(1, max_n + 1):
-                for g, c in ngram_counts(r, n).items():
-                    if c > ref_caps[n - 1][g]:
-                        ref_caps[n - 1][g] = c
+            for n in range(max_n):
+                for g, c in r.by_n[n].items():
+                    if c > ref_caps[n][g]:
+                        ref_caps[n][g] = c
         for h in hyps:
-            hyp_len += len(h)
+            hyp_len += h.length
             # closest reference length; ties resolved toward the shorter
-            ref_len += min((abs(len(r) - len(h)), len(r)) for r in refs)[1]
-            for n in range(1, max_n + 1):
-                counts = ngram_counts(h, n)
-                total[n - 1] += sum(counts.values())
-                clipped[n - 1] += sum(min(c, ref_caps[n - 1][g]) for g, c in counts.items())
+            ref_len += min((abs(r.length - h.length), r.length) for r in refs)[1]
+            for n in range(max_n):
+                counts = h.by_n[n]
+                total[n] += sum(counts.values())
+                clipped[n] += sum(min(c, ref_caps[n][g]) for g, c in counts.items())
 
     if hyp_len == 0:
         return 0.0
@@ -75,18 +96,22 @@ def multi_bleu(hyps_per_post: list[list[Seq]], refs_per_post: list[list[Seq]],
     return brevity * math.exp(log_sum / max_n)
 
 
-def distinct_ratio(seqs: list[Seq], n: int) -> float | None:
+def _distinct_ratio(counted: Iterable[NGrams], n: int) -> float | None:
     """Distinct / total n-grams over the pooled sequences; None if no n-grams."""
     pooled = Counter()
-    for s in seqs:
-        pooled.update(ngram_counts(s, n))
+    for c in counted:
+        pooled.update(c.by_n[n - 1])
     total = sum(pooled.values())
     return len(pooled) / total if total else None
 
 
 def intra_dist(groups: list[list[Seq]], n: int) -> float:
     """Mean per-group distinct ratio; groups without n-grams are skipped."""
-    ratios = [r for g in groups if (r := distinct_ratio(g, n)) is not None]
+    return intra_dist_from_counts(count_groups(groups, n), n)
+
+
+def intra_dist_from_counts(groups: list[list[NGrams]], n: int) -> float:
+    ratios = [r for g in groups if (r := _distinct_ratio(g, n)) is not None]
     if not ratios:
         raise EvaluationError(f"no {n}-grams anywhere, intra-dist undefined")
     return float(np.mean(ratios))
@@ -94,7 +119,11 @@ def intra_dist(groups: list[list[Seq]], n: int) -> float:
 
 def inter_dist(groups: list[list[Seq]], n: int) -> float:
     """Distinct ratio over all groups pooled together."""
-    ratio = distinct_ratio([s for g in groups for s in g], n)
+    return inter_dist_from_counts(count_groups(groups, n), n)
+
+
+def inter_dist_from_counts(groups: list[list[NGrams]], n: int) -> float:
+    ratio = _distinct_ratio((c for g in groups for c in g), n)
     if ratio is None:
         raise EvaluationError(f"no {n}-grams anywhere, inter-dist undefined")
     return ratio
@@ -128,8 +157,14 @@ def generate_samples(model: FocusCVAE, posts: list[np.ndarray], n_samples: int,
                      ) -> dict[tuple[int, int], GenerationResult]:
     """Greedy samples for every (post i, sample j) job, batched in row chunks.
 
-    Latent noise for job (i, j) comes from the stream [seed, 3, i, j], so a
-    sample depends on neither the chunking nor the other posts.
+    Jobs run in (i, j) order, chunk_rows at a time.  A chunk encodes each of
+    its distinct posts once, padded to the chunk's longest post, and decodes
+    one row per job.  Latent noise for job (i, j) comes from the stream
+    [seed, 3, i, j], whatever the chunking and the other posts.  The
+    arithmetic is not as free: BLAS may round differently with the chunk's
+    width and row count, so results are byte-reproducible for a fixed
+    chunk_rows, while across chunk sizes the floats can differ in their last
+    bits (and a token with them, at a near tie).
     """
     if n_samples < 1 or max_len < 1 or chunk_rows < 1:
         raise ValidationError("n_samples, max_len and chunk_rows must be positive")
@@ -138,18 +173,21 @@ def generate_samples(model: FocusCVAE, posts: list[np.ndarray], n_samples: int,
     results = {}
     for lo in range(0, len(jobs), chunk_rows):
         part = jobs[lo:lo + chunk_rows]
-        width = max(len(posts[i]) for i, _ in part)
-        ids = np.full((len(part), width), PAD_ID, dtype=np.int64)
-        mask = np.zeros((len(part), width), dtype=bool)
-        for r, (i, _) in enumerate(part):
-            ids[r, :len(posts[i])] = posts[i]
-            mask[r, :len(posts[i])] = True
+        # jobs come in post order, so the sorted distinct posts are in order
+        # of first appearance
+        distinct, row_post = np.unique([i for i, _ in part], return_inverse=True)
+        width = max(len(posts[i]) for i in distinct)
+        ids = np.full((len(distinct), width), PAD_ID, dtype=np.int64)
+        mask = np.zeros((len(distinct), width), dtype=bool)
+        for u, i in enumerate(distinct):
+            ids[u, :len(posts[i])] = posts[i]
+            mask[u, :len(posts[i])] = True
         eps = None
         if latent:
             eps = np.stack([
                 np.random.default_rng([seed, 3, i, j]).standard_normal(model.cfg.d_z)
                 for i, j in part])
-        for (i, j), res in zip(part, model.generate_rows(ids, mask, eps, max_len)):
+        for (i, j), res in zip(part, model.generate_rows(ids, mask, row_post, eps, max_len)):
             results[(i, j)] = res
     return results
 
@@ -170,12 +208,13 @@ def evaluate(model: FocusCVAE, vocab: Vocabulary, records: list[PostRecord],
 
     posts = [vocab.encode(r.post) for r in records]
     refs_per_post = [[tuple(vocab.encode(resp)) for resp in r.responses] for r in records]
-    generated = generate_samples(model, posts, n_samples, seed, max_len, chunk_rows)
-
     samples: list[SampleRow] = []
     hyps_per_post: list[list[Seq]] = [[] for _ in posts]
     gaps = []
-    for (i, j), res in sorted(generated.items()):
+    # no name holds the generation results, so they are freed after this loop,
+    # before the n-gram counts below are built; that bounds peak memory
+    for (i, j), res in sorted(generate_samples(
+            model, posts, n_samples, seed, max_len, chunk_rows).items()):
         hyp = strip_terminals(res.token_ids)
         hyps_per_post[i].append(hyp)
         gap = res.alignment.distance if res.alignment is not None else None
@@ -184,17 +223,20 @@ def evaluate(model: FocusCVAE, vocab: Vocabulary, records: list[PostRecord],
         samples.append(SampleRow(i, j, hyp, gap))
 
     lengths = [len(h) for g in hyps_per_post for h in g]
+    # each sequence is counted once for all six scores
+    hyp_counts = count_groups(hyps_per_post, 2)
+    ref_counts = count_groups(refs_per_post, 2)
     metrics = {
         "variant": model.cfg.variant,
         "n_posts": len(posts),
         "n_samples": n_samples,
         "max_len": max_len,
-        "bleu_1": multi_bleu(hyps_per_post, refs_per_post, 1),
-        "bleu_2": multi_bleu(hyps_per_post, refs_per_post, 2),
-        "intra_dist_1": intra_dist(hyps_per_post, 1),
-        "intra_dist_2": intra_dist(hyps_per_post, 2),
-        "inter_dist_1": inter_dist(hyps_per_post, 1),
-        "inter_dist_2": inter_dist(hyps_per_post, 2),
+        "bleu_1": bleu_from_counts(hyp_counts, ref_counts, 1),
+        "bleu_2": bleu_from_counts(hyp_counts, ref_counts, 2),
+        "intra_dist_1": intra_dist_from_counts(hyp_counts, 1),
+        "intra_dist_2": intra_dist_from_counts(hyp_counts, 2),
+        "inter_dist_1": inter_dist_from_counts(hyp_counts, 1),
+        "inter_dist_2": inter_dist_from_counts(hyp_counts, 2),
         "mean_alignment_gap": float(np.mean(gaps)) if gaps else None,
         "mean_length": float(np.mean(lengths)),
     }

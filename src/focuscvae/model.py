@@ -179,21 +179,36 @@ class FocusCVAE:
 
     # -- generation ---------------------------------------------------------
 
-    def generate_rows(self, post_ids: np.ndarray, post_mask: np.ndarray,
+    def generate_rows(self, post_ids: np.ndarray, post_mask: np.ndarray, row_post: np.ndarray,
                       eps_rows: np.ndarray | None, max_len: int) -> list[GenerationResult]:
-        """Greedy-decode one batch of rows; z comes from the prior (row i uses
-        eps_rows[i]).  For s2s eps_rows must be None."""
-        post_enc = self.encode_sequences(post_ids, post_mask)
-        if uses_latent(self.cfg.variant):
-            if eps_rows is None:
-                raise ValidationError("latent variants need one eps row per generation")
-            p = prior(post_enc.pooled, self.prior, self.cfg.d_z)
-            z = sample(p, eps_rows)
-        else:
-            if eps_rows is not None:
-                raise ValidationError("s2s takes no latent draws")
-            z = None
-        f, setup = self._focus_and_setup(post_enc, post_ids, post_mask, z)
+        """Greedy-decode one batch of rows; row r reads post row_post[r] of the
+        distinct posts post_ids and draws z from the prior with eps_rows[r].
+
+        Each distinct post is encoded once; its states and pooled vector are
+        copied out to its rows, and everything after the encoder runs per row.
+        For s2s eps_rows must be None.
+        """
+        row_post = np.asarray(row_post, dtype=np.int64)
+        latent = uses_latent(self.cfg.variant)
+        if latent and eps_rows is None:
+            raise ValidationError("latent variants need one eps row per generation")
+        if not latent and eps_rows is not None:
+            raise ValidationError("s2s takes no latent draws")
+        if eps_rows is not None and len(eps_rows) != len(row_post):
+            raise ValidationError(f"{len(eps_rows)} eps rows for {len(row_post)} generations")
+        post_enc = _rows_of(self.encode_sequences(post_ids, post_mask), row_post)
+        ids, mask = np.asarray(post_ids)[row_post], np.asarray(post_mask)[row_post]
+        z = sample(prior(post_enc.pooled, self.prior, self.cfg.d_z), eps_rows) if latent else None
+        f, setup = self._focus_and_setup(post_enc, ids, mask, z)
         init = initial_states(self._conditioning(post_enc, z), self.decoder)
         focus_rows = f.data if f is not None else None
         return greedy_decode(setup, self.embedding, self.decoder, init, max_len, focus_rows)
+
+
+def _rows_of(enc: EncoderOutputs, rows: np.ndarray) -> EncoderOutputs:
+    """The encodings of sequences `rows`, one output row each, gathered with
+    row lookups: each sequence's states are one [T*d_h] row for the lookup."""
+    b, t, d_h = enc.batch, enc.length, enc.states_flat.shape[1]
+    states = ad.embedding(ad.reshape(enc.states_flat, (b, t * d_h)), rows)
+    return EncoderOutputs(ad.reshape(states, (len(rows) * t, d_h)),
+                          ad.embedding(enc.pooled, rows), len(rows), t)

@@ -331,6 +331,11 @@ def restore_model(state: CheckpointState) -> tuple[FocusCVAE, Adam]:
     names = set(adam.m)
     if set(state.adam_m) != names or set(state.adam_v) != names:
         raise IntegrityError("optimizer moments do not match the parameter set")
+    for name, p in adam.params.items():
+        for moments in (state.adam_m, state.adam_v):
+            if moments[name].shape != p.shape:
+                raise IntegrityError(f"{name}: optimizer moment of shape {moments[name].shape}"
+                                     f" for a parameter of shape {p.shape}")
     adam.m = {k: state.adam_m[k].copy() for k in adam.m}
     adam.v = {k: state.adam_v[k].copy() for k in adam.v}
     adam.t = state.adam_t

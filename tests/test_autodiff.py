@@ -130,6 +130,40 @@ def test_reused_tensor_accumulates_grad():
     assert x.grad[0] == pytest.approx(5.0, abs=1e-12)
 
 
+def test_backward_folds_parts_in_listed_order_and_never_writes_into_them():
+    rng = np.random.default_rng(4)
+    a, b, c = (Tensor(rng.normal(size=5), requires_grad=True) for _ in range(3))
+    w = [rng.normal(size=5) for _ in range(4)]
+    with Tape() as tape:
+        p = ad.mul(b, c)  # visited last: b's second part
+        s = ad.add(a, b)  # hands one array to both leaves
+        # one node that lists a three times
+        out = Tensor(w[0] * a.data + w[1] * a.data + w[2] * s.data + w[3] * a.data)
+        t = ad._record((a, a, s, a), out, lambda g: tuple(g * wk for wk in w))
+        loss = ad.sum_all(ad.add(t, p))
+    returned = []
+
+    def spy(rule):
+        def wrapped(g):
+            parts = rule(g)
+            returned.extend((part, part.copy()) for part in parts if part is not None)
+            return parts
+        return wrapped
+
+    for node in tape.nodes:
+        node.backward = spy(node.backward)
+    tape.backward(loss)
+
+    one = np.ones(5)
+    # the reference left fold of each leaf's parts, in visiting order
+    np.testing.assert_array_equal(a.grad, ((one * w[0] + one * w[1]) + one * w[3]) + one * w[2])
+    np.testing.assert_array_equal(b.grad, one * w[2] + one * c.data)
+    np.testing.assert_array_equal(c.grad, one * b.data)
+    assert len(returned) == 11
+    for part, before in returned:
+        np.testing.assert_array_equal(part, before)
+
+
 # every registered primitive, finite-difference checked over random draws
 
 

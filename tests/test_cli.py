@@ -4,11 +4,12 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from focuscvae.cli import main
 from focuscvae.corpus import GrammarConfig, generate_synthetic, save_jsonl, split_records
-from focuscvae.training import load_checkpoint
+from focuscvae.training import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +82,25 @@ def test_resume_refuses_paper_init(workspace, tmp_path, capsys):
     assert "config from the checkpoint" in capsys.readouterr().err
     assert not load_checkpoint(out / "checkpoint.bin").config.paper_init
     assert load_checkpoint(out / "checkpoint.bin").step == 6
+
+
+def test_resume_refuses_a_misshapen_optimizer_moment(workspace, tmp_path, capsys):
+    data, run = workspace / "data", workspace / "run"
+    out = tmp_path / "misshapen"
+    out.mkdir()
+    (out / "loss_log.csv").write_bytes((run / "loss_log.csv").read_bytes())
+    state = load_checkpoint(run / "checkpoint.bin")
+    state.adam_m["decoder.out.W"] = np.zeros(1)
+    save_checkpoint(out / "checkpoint.bin", state)
+    before = (out / "checkpoint.bin").read_bytes()
+    code = main(["train", "--corpus", str(data / "corpus.jsonl"),
+                 "--out", str(out), "--checkpoint", str(out / "checkpoint.bin"),
+                 "--steps", "9"])
+    assert code == 1
+    assert "decoder.out.W" in capsys.readouterr().err
+    assert (out / "checkpoint.bin").read_bytes() == before
+    assert sorted(f.name for f in out.iterdir()) == ["checkpoint.bin", "config.json",
+                                                     "loss_log.csv"]
 
 
 def test_generate_layout(workspace, tmp_path):

@@ -150,9 +150,17 @@ class TestGreedyDecode:
         ids = np.array([[3, 4, 5]])
         mask = np.ones_like(ids, dtype=bool)
         with pytest.raises(ValidationError):
-            latent.generate_rows(ids, mask, None, max_len=4)
+            latent.generate_rows(ids, mask, np.arange(1), None, max_len=4)
         with pytest.raises(ValidationError):
-            plain.generate_rows(ids, mask, np.zeros((1, 4)), max_len=4)
+            plain.generate_rows(ids, mask, np.arange(1), np.zeros((1, 4)), max_len=4)
+
+    def test_eps_rows_must_match_the_rows(self):
+        model = micro_model()
+        ids = np.array([[3, 4, 5]])
+        mask = np.ones_like(ids, dtype=bool)
+        with pytest.raises(ValidationError):
+            model.generate_rows(ids, mask, np.zeros(3, dtype=np.int64), np.zeros((2, 4)),
+                                max_len=4)
 
     def test_max_len_must_be_positive(self):
         model = micro_model()

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from focuscvae import evaluation as ev
+from focuscvae import model as model_module
 from focuscvae.config import TrainConfig
-from focuscvae.corpus import generate_synthetic, split_records, to_pairs
+from focuscvae.corpus import PAD_ID, generate_synthetic, split_records, to_pairs
 from focuscvae.errors import CompatibilityError, ValidationError
 from focuscvae.model import FocusCVAE
 
@@ -176,6 +177,16 @@ class TestEvaluate:
         assert lines[0] == "post_id,sample_id,tokens,alignment_gap"
         assert len(lines) == len(test) * 2 + 1
 
+    def test_scores_equal_the_metric_functions(self, tiny_world):
+        model, vocab, test = tiny_world
+        rep = ev.evaluate(model, vocab, test, n_samples=2, seed=5, max_len=8)
+        hyps = [[s.token_ids for s in rep.samples if s.post_id == i] for i in range(len(test))]
+        refs = [[tuple(vocab.encode(resp)) for resp in r.responses] for r in test]
+        for n in (1, 2):
+            assert rep.metrics[f"bleu_{n}"] == ev.multi_bleu(hyps, refs, n)
+            assert rep.metrics[f"intra_dist_{n}"] == ev.intra_dist(hyps, n)
+            assert rep.metrics[f"inter_dist_{n}"] == ev.inter_dist(hyps, n)
+
     def test_chunking_does_not_change_results(self, tiny_world):
         model, vocab, test = tiny_world
         a = ev.evaluate(model, vocab, test, n_samples=2, seed=5, max_len=8,
@@ -215,3 +226,72 @@ class TestEvaluate:
         posts = [vocab.encode(r.post) for r in test]
         with pytest.raises(ValidationError):
             ev.generate_samples(model, posts, n_samples, 0, max_len, chunk_rows=chunk_rows)
+
+
+def expanded_samples(model, posts, n_samples, seed, max_len, chunk_rows):
+    """The sampler with one encoded row per job, as a reference."""
+    jobs = [(i, j) for i in range(len(posts)) for j in range(n_samples)]
+    out = {}
+    for lo in range(0, len(jobs), chunk_rows):
+        part = jobs[lo:lo + chunk_rows]
+        ids, mask = padded([posts[i] for i, _ in part])
+        eps = None
+        if model.prior is not None:
+            eps = np.stack([np.random.default_rng([seed, 3, i, j]).standard_normal(model.cfg.d_z)
+                            for i, j in part])
+        rows = model.generate_rows(ids, mask, np.arange(len(part)), eps, max_len)
+        out.update(zip(part, rows))
+    return out
+
+
+def padded(seqs):
+    ids = np.full((len(seqs), max(len(s) for s in seqs)), PAD_ID, dtype=np.int64)
+    for r, s in enumerate(seqs):
+        ids[r, :len(s)] = s
+    return ids, ids != PAD_ID
+
+
+class TestEncodeOncePerPost:
+    POST_LENGTHS = (5, 3, 7, 4)
+
+    def world(self, variant):
+        cfg = TrainConfig(variant=variant, vocab_size=12, d_h=8, d_z=4, batch_size=4, seed=2)
+        model = FocusCVAE(cfg, np.random.default_rng([2, 0]))
+        rng = np.random.default_rng(17)
+        posts = [rng.integers(3, 12, size=n) for n in self.POST_LENGTHS]
+        return model, posts
+
+    # chunk_rows 4 splits the samples of posts 0, 1 and 2 across two chunks
+    @pytest.mark.parametrize("chunk_rows", [4, 192])
+    @pytest.mark.parametrize("variant", ["focconstrain", "s2s"])
+    def test_matches_an_encode_per_row_bit_for_bit(self, variant, chunk_rows):
+        model, posts = self.world(variant)
+        got = ev.generate_samples(model, posts, 3, 5, 6, chunk_rows=chunk_rows)
+        want = expanded_samples(model, posts, 3, 5, 6, chunk_rows)
+        assert list(got) == list(want)
+        for job, ref in want.items():
+            res = got[job]
+            assert res.token_ids == ref.token_ids
+            np.testing.assert_array_equal(res.coverage, ref.coverage)
+            if ref.focus is None:
+                assert res.focus is None and res.alignment is None
+            else:
+                np.testing.assert_array_equal(res.focus, ref.focus)
+                assert res.alignment.distance == ref.alignment.distance
+
+    def test_each_chunk_encodes_its_distinct_posts_once(self, monkeypatch):
+        model, posts = self.world("focconstrain")
+        encoded = []
+        real = model_module.encode
+
+        def spy(ids, mask, *rest):
+            encoded.append(np.array(ids))
+            return real(ids, mask, *rest)
+
+        monkeypatch.setattr(model_module, "encode", spy)
+        ev.generate_samples(model, posts[:3], 3, 0, 4, chunk_rows=4)
+        # jobs (0,0) (0,1) (0,2) (1,0) | (1,1) (1,2) (2,0) (2,1) | (2,2)
+        chunks = ([0, 1], [1, 2], [2])
+        assert len(encoded) == len(chunks)
+        for ids, chunk in zip(encoded, chunks):
+            np.testing.assert_array_equal(ids, padded([posts[i] for i in chunk])[0])

@@ -358,6 +358,15 @@ class TestCheckpoint:
         assert path.read_bytes() == before and tr.load_checkpoint(path).step == 4
         assert [f.name for f in tmp_path.iterdir()] == ["c.bin"]
 
+    @pytest.mark.parametrize("moments", ["adam_m", "adam_v"])
+    def test_restore_rejects_a_moment_of_the_wrong_shape(self, tmp_path, moments):
+        st = self.state(tmp_path)
+        getattr(st, moments)["decoder.out.W"] = np.zeros(1)
+        path = tmp_path / "c.bin"
+        tr.save_checkpoint(path, st)  # the checksum covers the misshapen moment
+        with pytest.raises(IntegrityError, match="decoder.out.W"):
+            tr.restore_model(tr.load_checkpoint(path))
+
     def test_restore_rebuilds_a_working_model(self, tmp_path):
         st = self.state(tmp_path)
         model, adam = tr.restore_model(st)
