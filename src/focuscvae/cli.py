@@ -10,6 +10,7 @@ unexpected failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -48,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     tn.add_argument("--variant", choices=VARIANTS, default=None)
     tn.add_argument("--steps", type=int, default=None, help="override total_steps")
     tn.add_argument("--paper-init", action="store_true",
-                    help="unscaled uniform(-1, 1) parameter init")
+                    help="the paper's uniform(-1, 1) parameter init (sets init_scale 1.0)")
 
     gen = sub.add_parser("generate", help="sample responses for every post in a corpus")
     gen.add_argument("--checkpoint", type=Path, required=True)
@@ -99,11 +100,10 @@ def _resolved_train_config(args, vocab_len: int) -> TrainConfig:
             raise ConfigError(f"{args.config}: invalid JSON ({e.msg})") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{args.config}: expected a JSON object")
-    if raw.get("vocab_size", vocab_len) != vocab_len:
+    cfg = TrainConfig.from_dict({"vocab_size": vocab_len, **raw})
+    if cfg.vocab_size != vocab_len:
         raise CompatibilityError(
-            f"config says vocab_size {raw['vocab_size']} but the vocabulary has {vocab_len}")
-    cfg = TrainConfig.from_dict(raw)
-    cfg.vocab_size = vocab_len
+            f"config says vocab_size {cfg.vocab_size} but the vocabulary has {vocab_len}")
     # flags beat the file
     if args.seed is not None:
         cfg.seed = args.seed
@@ -112,7 +112,7 @@ def _resolved_train_config(args, vocab_len: int) -> TrainConfig:
     if args.steps is not None:
         cfg.total_steps = args.steps
     if args.paper_init:
-        cfg.paper_init = True
+        cfg.init_scale = 1.0
     return cfg.validate()
 
 
@@ -191,15 +191,20 @@ def cmd_generate(args) -> int:
             samples = []
             for j in range(args.n_samples):
                 res = generated[(i, j)]
+                focus = over_len = None
+                if res.focus is not None:
+                    focus = res.focus.tolist()
+                    over_len = (res.coverage / float(res.length)).tolist()
+                    with open(align_dir / f"post{i:04d}_s{j}.csv", "w", newline="") as csv_fh:
+                        writer = csv.writer(csv_fh)
+                        writer.writerow(["position", "token", "focus", "coverage_over_len"])
+                        for pos, tok in enumerate(record.post):
+                            writer.writerow([pos, tok, repr(focus[pos]), repr(over_len[pos])])
                 samples.append({
                     "tokens": vocab.decode(list(evaluation.strip_terminals(res.token_ids))),
-                    "focus": None if res.focus is None else [float(v) for v in res.focus],
-                    "coverage_over_len": None if res.alignment is None
-                    else [float(v) for v in res.alignment.coverage_over_len],
+                    "focus": focus,
+                    "coverage_over_len": over_len,
                 })
-                if res.alignment is not None:
-                    res.alignment.write_csv(align_dir / f"post{i:04d}_s{j}.csv",
-                                            record.post)
             fh.write(json.dumps({"post": record.post, "samples": samples}) + "\n")
     kind = "prior draws" if uses_latent(model.cfg.variant) else "deterministic decoding"
     print(f"wrote {len(records)} posts x {args.n_samples} samples ({kind}) to {args.out}")

@@ -31,8 +31,9 @@ def uses_focus_loss(variant: str) -> bool:
 class TrainConfig:
     """Everything a training run needs; round-trips through canonical JSON.
 
-    Desk-scale defaults; `paper_init` switches the uniform init range back to
-    [-1, 1].  The latent size doubles as the embedding width.
+    Desk-scale defaults; parameters start uniform in [-init_scale, init_scale]
+    (the paper's range is init_scale 1.0).  The latent size doubles as the
+    embedding width.
     """
 
     variant: str = "focconstrain"
@@ -47,7 +48,6 @@ class TrainConfig:
     seed: int = 0
     checkpoint_interval: int = 500
     init_scale: float = 0.08
-    paper_init: bool = False
     w_foc: float = 1.0
     w_bow: float = 1.0
 
@@ -80,10 +80,6 @@ class TrainConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         return self
-
-    @property
-    def effective_init_scale(self) -> float:
-        return 1.0 if self.paper_init else self.init_scale
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -206,6 +206,8 @@ def generate_synthetic(seed: int, n_pairs: int, cfg: GrammarConfig | None = None
     cfg.validate()
     if n_pairs < 1:
         raise ConfigError("n_pairs must be positive")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     pools = _grammar_tokens(cfg)
     rng = np.random.default_rng(seed)
     records: list[PostRecord] = []

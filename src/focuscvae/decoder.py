@@ -18,7 +18,7 @@ from .autodiff import GRUCellWeights, Tensor
 from .corpus import EOS_ID, PAD_ID
 from .encoders import AffineWeights, affine, init_gru_cell
 from .errors import ValidationError
-from .focus import AlignmentRecord, AttentionSetup, attend_step, coverage_report
+from .focus import AttentionSetup, alignment_gap, attend_step
 
 
 @dataclass
@@ -108,7 +108,7 @@ class GenerationResult:
     token_ids: list[int]
     focus: np.ndarray | None        # [T] over unmasked post positions, None for s2s
     coverage: np.ndarray            # [T] accumulated attention over unmasked positions
-    alignment: AlignmentRecord | None
+    alignment_gap: float | None     # None for s2s
 
     @property
     def length(self) -> int:
@@ -155,8 +155,8 @@ def greedy_decode(setup: AttentionSetup, emb_table: Tensor, w: DecoderWeights,
         cov_row = coverage.data[i][mask_row]
         if focus_rows is not None:
             focus_row = focus_rows[i][mask_row]
-            alignment = coverage_report(cov_row, n, focus_row)
+            gap = alignment_gap(cov_row, n, focus_row)
         else:
-            focus_row, alignment = None, None
-        results.append(GenerationResult(tokens, focus_row, cov_row, alignment))
+            focus_row, gap = None, None
+        results.append(GenerationResult(tokens, focus_row, cov_row, gap))
     return results

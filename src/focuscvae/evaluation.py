@@ -45,16 +45,10 @@ def count_groups(groups: list[list[Seq]], max_n: int) -> list[list[NGrams]]:
              for s in g] for g in groups]
 
 
-def multi_bleu(hyps_per_post: list[list[Seq]], refs_per_post: list[list[Seq]],
+def multi_bleu(hyps_per_post: list[list[NGrams]], refs_per_post: list[list[NGrams]],
                max_n: int) -> float:
-    """Corpus BLEU-max_n of every hypothesis against its post's references."""
-    return bleu_from_counts(count_groups(hyps_per_post, max_n),
-                            count_groups(refs_per_post, max_n), max_n)
-
-
-def bleu_from_counts(hyps_per_post: list[list[NGrams]], refs_per_post: list[list[NGrams]],
-                     max_n: int) -> float:
-    """multi_bleu over sequences counted up to at least max_n."""
+    """Corpus BLEU-max_n of every hypothesis against its post's references,
+    both counted by count_groups up to at least max_n."""
     if max_n < 1:
         raise ValidationError("max_n must be at least 1")
     if len(hyps_per_post) != len(refs_per_post):
@@ -105,24 +99,16 @@ def _distinct_ratio(counted: Iterable[NGrams], n: int) -> float | None:
     return len(pooled) / total if total else None
 
 
-def intra_dist(groups: list[list[Seq]], n: int) -> float:
+def intra_dist(groups: list[list[NGrams]], n: int) -> float:
     """Mean per-group distinct ratio; groups without n-grams are skipped."""
-    return intra_dist_from_counts(count_groups(groups, n), n)
-
-
-def intra_dist_from_counts(groups: list[list[NGrams]], n: int) -> float:
     ratios = [r for g in groups if (r := _distinct_ratio(g, n)) is not None]
     if not ratios:
         raise EvaluationError(f"no {n}-grams anywhere, intra-dist undefined")
     return float(np.mean(ratios))
 
 
-def inter_dist(groups: list[list[Seq]], n: int) -> float:
+def inter_dist(groups: list[list[NGrams]], n: int) -> float:
     """Distinct ratio over all groups pooled together."""
-    return inter_dist_from_counts(count_groups(groups, n), n)
-
-
-def inter_dist_from_counts(groups: list[list[NGrams]], n: int) -> float:
     ratio = _distinct_ratio((c for g in groups for c in g), n)
     if ratio is None:
         raise EvaluationError(f"no {n}-grams anywhere, inter-dist undefined")
@@ -168,6 +154,8 @@ def generate_samples(model: FocusCVAE, posts: list[np.ndarray], n_samples: int,
     """
     if n_samples < 1 or max_len < 1 or chunk_rows < 1:
         raise ValidationError("n_samples, max_len and chunk_rows must be positive")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     jobs = [(i, j) for i in range(len(posts)) for j in range(n_samples)]
     latent = uses_latent(model.cfg.variant)
     results = {}
@@ -210,18 +198,15 @@ def evaluate(model: FocusCVAE, vocab: Vocabulary, records: list[PostRecord],
     refs_per_post = [[tuple(vocab.encode(resp)) for resp in r.responses] for r in records]
     samples: list[SampleRow] = []
     hyps_per_post: list[list[Seq]] = [[] for _ in posts]
-    gaps = []
     # no name holds the generation results, so they are freed after this loop,
     # before the n-gram counts below are built; that bounds peak memory
     for (i, j), res in sorted(generate_samples(
             model, posts, n_samples, seed, max_len, chunk_rows).items()):
         hyp = strip_terminals(res.token_ids)
         hyps_per_post[i].append(hyp)
-        gap = res.alignment.distance if res.alignment is not None else None
-        if gap is not None:
-            gaps.append(gap)
-        samples.append(SampleRow(i, j, hyp, gap))
+        samples.append(SampleRow(i, j, hyp, res.alignment_gap))
 
+    gaps = [s.alignment_gap for s in samples if s.alignment_gap is not None]
     lengths = [len(h) for g in hyps_per_post for h in g]
     # each sequence is counted once for all six scores
     hyp_counts = count_groups(hyps_per_post, 2)
@@ -231,12 +216,12 @@ def evaluate(model: FocusCVAE, vocab: Vocabulary, records: list[PostRecord],
         "n_posts": len(posts),
         "n_samples": n_samples,
         "max_len": max_len,
-        "bleu_1": bleu_from_counts(hyp_counts, ref_counts, 1),
-        "bleu_2": bleu_from_counts(hyp_counts, ref_counts, 2),
-        "intra_dist_1": intra_dist_from_counts(hyp_counts, 1),
-        "intra_dist_2": intra_dist_from_counts(hyp_counts, 2),
-        "inter_dist_1": inter_dist_from_counts(hyp_counts, 1),
-        "inter_dist_2": inter_dist_from_counts(hyp_counts, 2),
+        "bleu_1": multi_bleu(hyp_counts, ref_counts, 1),
+        "bleu_2": multi_bleu(hyp_counts, ref_counts, 2),
+        "intra_dist_1": intra_dist(hyp_counts, 1),
+        "intra_dist_2": intra_dist(hyp_counts, 2),
+        "inter_dist_1": inter_dist(hyp_counts, 1),
+        "inter_dist_2": inter_dist(hyp_counts, 2),
         "mean_alignment_gap": float(np.mean(gaps)) if gaps else None,
         "mean_length": float(np.mean(lengths)),
     }

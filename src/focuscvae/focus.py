@@ -7,12 +7,12 @@ distribution is added to every attention step's scores, so the decoder
 attends where the focus points unless a step's own scores move it.  A
 coverage vector keeps the running sum of attention weights per position;
 with coverage weights V_a, the coverage-weighted state summary feeds back
-into the attention energies.
+into the attention energies.  A generated sample's alignment gap measures
+how far its coverage, divided by its length, ended from its focus.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -132,33 +132,15 @@ def attend_step(setup: AttentionSetup, s_prev: Tensor, coverage: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# alignment diagnostics (plain numpy; nothing here needs gradients)
+# alignment diagnostic (plain numpy; nothing here needs gradients)
 
 
-@dataclass
-class AlignmentRecord:
-    focus: np.ndarray             # [T] focus distribution over post positions
-    coverage_over_len: np.ndarray  # [T] accumulated attention / decode length
-    distance: float               # L2 between the two
-    focus_argmax: int
-    coverage_argmax: int
+def alignment_gap(coverage: np.ndarray, resp_len: int, focus: np.ndarray) -> float:
+    """L2 norm of coverage/resp_len - focus: accumulated attention, normalized
+    by decode length, against the focus.
 
-    def write_csv(self, path, tokens: list[str]) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["position", "token", "focus", "coverage_over_len"])
-            for i, tok in enumerate(tokens):
-                writer.writerow([i, tok, repr(float(self.focus[i])),
-                                 repr(float(self.coverage_over_len[i]))])
-
-
-def coverage_report(coverage: np.ndarray, resp_len: int, focus: np.ndarray,
-                    mask: np.ndarray | None = None) -> AlignmentRecord:
-    """Compare accumulated attention (normalized by decode length) with focus.
-
-    The distance is the L2 norm of coverage/resp_len - focus, with the
-    squared differences summed left to right in position order, so it
-    equals a token-by-token recount bitwise.
+    The squared differences are summed left to right in position order, so
+    the gap equals a token-by-token recount bitwise.
     """
     coverage = np.asarray(coverage, dtype=np.float64)
     focus = np.asarray(focus, dtype=np.float64)
@@ -166,18 +148,7 @@ def coverage_report(coverage: np.ndarray, resp_len: int, focus: np.ndarray,
         raise DimensionError(f"coverage {coverage.shape} vs focus {focus.shape}")
     if resp_len < 1:
         raise ValidationError(f"resp_len must be positive, got {resp_len}")
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        coverage, focus = coverage[m], focus[m]
-    over_len = coverage / float(resp_len)
-    diff = over_len - focus
     total = 0.0
-    for d in diff:  # np.sum would add in pairwise blocks of eight
+    for d in coverage / float(resp_len) - focus:  # np.sum would add in pairwise blocks of eight
         total += d * d
-    return AlignmentRecord(
-        focus=focus,
-        coverage_over_len=over_len,
-        distance=math.sqrt(total),
-        focus_argmax=int(np.argmax(focus)),
-        coverage_argmax=int(np.argmax(over_len)),
-    )
+    return math.sqrt(total)

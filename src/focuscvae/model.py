@@ -67,7 +67,7 @@ class FocusCVAE:
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
         cfg.validate()
         self.cfg = cfg
-        scale = cfg.effective_init_scale
+        scale = cfg.init_scale
         d_h, d_z, vocab = cfg.d_h, cfg.d_z, cfg.vocab_size
         d_emb = d_z  # embedding width tied to the latent size
         latent = uses_latent(cfg.variant)

@@ -203,7 +203,7 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 # checkpointing
 
 CHECKPOINT_MAGIC = b"FCVK"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass

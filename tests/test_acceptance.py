@@ -219,6 +219,12 @@ def test_criterion_6_diversity_ordering(desk):
            f"s2s emitted identical triples for all {len(by_post)} posts")
 
 
+def scored(metric, *groups_then_n):
+    """metric over groups of raw sequences, each group list counted up to n."""
+    *groups, n = groups_then_n
+    return metric(*(ev.count_groups(g, n) for g in groups), n)
+
+
 def test_criterion_7_metric_oracles():
     rng = np.random.default_rng(707)
     for _ in range(100):
@@ -237,14 +243,14 @@ def test_criterion_7_metric_oracles():
                     per_group.append(len(local) / sum(local.values()))
             if sum(pooled.values()) == 0:
                 continue
-            assert ev.inter_dist(groups, n) == len(pooled) / sum(pooled.values())
-            assert ev.intra_dist(groups, n) == pytest.approx(
+            assert scored(ev.inter_dist, groups, n) == len(pooled) / sum(pooled.values())
+            assert scored(ev.intra_dist, groups, n) == pytest.approx(
                 float(np.mean(per_group)), abs=1e-15)
 
     hyps, refs = [[("a", "b", "c")]], [[("a", "b", "d")]]
-    b1 = ev.multi_bleu(hyps, refs, 1)
-    b2 = ev.multi_bleu(hyps, refs, 2)
-    perfect = ev.multi_bleu([[("x", "y")]], [[("x", "y")]], 2)
+    b1 = scored(ev.multi_bleu, hyps, refs, 1)
+    b2 = scored(ev.multi_bleu, hyps, refs, 2)
+    perfect = scored(ev.multi_bleu, [[("x", "y")]], [[("x", "y")]], 2)
     ok = (abs(b1 - 2 / 3) <= 1e-9 and abs(b2 - math.sqrt(1 / 3)) <= 1e-9
           and perfect == 1.0)
     report("criterion 7", ok,
@@ -319,7 +325,7 @@ def test_alignment_gap_equals_brute_force_recount(desk):
             diff = res.coverage[pos] / res.length - res.focus[pos]
             total += diff * diff
         d = math.sqrt(total)
-        assert d == res.alignment.distance
+        assert d == res.alignment_gap
         recounted.append(d)
     reported = desk.reports["focconstrain"].metrics["mean_alignment_gap"]
     ok = float(np.mean(recounted)) == reported

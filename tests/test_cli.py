@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from focuscvae.cli import main
-from focuscvae.corpus import GrammarConfig, generate_synthetic, save_jsonl, split_records
-from focuscvae.training import load_checkpoint, save_checkpoint
+from focuscvae.corpus import (GrammarConfig, Vocabulary, generate_synthetic, load_jsonl,
+                              save_jsonl, split_records)
+from focuscvae.evaluation import generate_samples
+from focuscvae.training import load_checkpoint, restore_model, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +82,7 @@ def test_resume_refuses_paper_init(workspace, tmp_path, capsys):
                  "--steps", "8", "--paper-init"])
     assert code == 1
     assert "config from the checkpoint" in capsys.readouterr().err
-    assert not load_checkpoint(out / "checkpoint.bin").config.paper_init
+    assert load_checkpoint(out / "checkpoint.bin").config.init_scale == 0.08
     assert load_checkpoint(out / "checkpoint.bin").step == 6
 
 
@@ -171,6 +173,40 @@ def test_generate_and_eval_draw_the_same_samples(sampled):
         assert math.sqrt(total) == float(row["alignment_gap"])
 
 
+def test_alignment_csvs_hold_each_samples_focus_and_coverage_over_len(workspace, sampled):
+    data, run = workspace / "data", workspace / "run"
+    out = sampled[0] / "generate"
+    state = load_checkpoint(run / "checkpoint.bin")
+    model, _ = restore_model(state)
+    vocab = Vocabulary.load(data / "vocab.json")
+    records = load_jsonl(data / "test.jsonl")
+    generated = generate_samples(model, [vocab.encode(r.post) for r in records], 3, 5,
+                                 2 * state.meta["max_train_resp_len"])
+    posts = [json.loads(l) for l in (out / "generations.jsonl").read_text().splitlines()]
+    for (i, j), res in generated.items():
+        post = records[i].post
+        with open(out / "alignment" / f"post{i:04d}_s{j}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["position", "token", "focus", "coverage_over_len"]
+        over_len = [repr(float(res.coverage[p] / res.length)) for p in range(len(post))]
+        assert rows[1:] == [[str(p), tok, repr(float(res.focus[p])), over_len[p]]
+                            for p, tok in enumerate(post)]
+        assert [repr(v) for v in posts[i]["samples"][j]["coverage_over_len"]] == over_len
+
+
+@pytest.mark.parametrize("command", ["make-corpus", "generate", "eval"])
+def test_a_negative_seed_is_refused(workspace, tmp_path, capsys, command):
+    data, run = workspace / "data", workspace / "run"
+    out = tmp_path / "out"
+    args = [command, "--seed", "-1", "--out", str(out)]
+    if command != "make-corpus":
+        args += ["--checkpoint", str(run / "checkpoint.bin"),
+                 "--corpus", str(data / "test.jsonl")]
+    assert main(args) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_checks_its_sizes(workspace, tmp_path, capsys):
     data, run = workspace / "data", workspace / "run"
     empty = tmp_path / "empty.jsonl"
@@ -239,7 +275,7 @@ def test_conflicting_vocab_size_is_rejected(workspace, tmp_path, capsys):
     {"paper_init": "no"}, {"batch_size": True}, {"d_h": 8.0}, {"d_h": "64"},
     {"peak_lr": "0.1"}, {"seed": -1},
     {"w_bow": -1}, {"w_foc": -5.0}, {"init_scale": 0.0}, {"init_scale": -0.5},
-    {"init_scale": math.inf}, {"w_foc": math.nan},
+    {"init_scale": math.inf}, {"w_foc": math.nan}, {"vocab_size": "64"},
 ])
 def test_config_values_of_the_wrong_type_are_rejected(workspace, tmp_path, capsys, payload):
     data = workspace / "data"
@@ -250,7 +286,10 @@ def test_config_values_of_the_wrong_type_are_rejected(workspace, tmp_path, capsy
     code = main(["train", "--corpus", str(data / "corpus.jsonl"),
                  "--config", str(cfg_path), "--out", str(out)])
     assert code == 1
-    assert next(iter(payload)) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert next(iter(payload)) in err
+    if payload == {"vocab_size": "64"}:
+        assert "vocab_size must be int, got '64'" in err
     assert not (out / "config.json").exists()
 
 

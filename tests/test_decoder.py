@@ -123,13 +123,13 @@ class TestGreedyDecode:
         model = micro_model()
         r = self.gen(model, n=1)[0]
         assert r.focus is not None and abs(r.focus.sum() - 1.0) < 1e-9
-        assert r.alignment is not None and r.alignment.distance >= 0.0
+        assert r.alignment_gap is not None and r.alignment_gap >= 0.0
 
     def test_s2s_samples_are_bitwise_identical(self):
         model = micro_model("s2s")
         results = self.gen(model, n=3)
         assert all(r.token_ids == results[0].token_ids for r in results)
-        assert all(r.focus is None and r.alignment is None for r in results)
+        assert all(r.focus is None and r.alignment_gap is None for r in results)
 
     def test_latent_draws_change_the_focus(self):
         model = micro_model("focconstrain")

@@ -17,6 +17,12 @@ from focuscvae.model import FocusCVAE
 SQRT_THIRD = 0.5773502691896258
 
 
+def scored(metric, *groups_then_n):
+    """metric over groups of raw sequences, each group list counted up to n."""
+    *groups, n = groups_then_n
+    return metric(*(ev.count_groups(g, n) for g in groups), n)
+
+
 def naive_bleu(hyps_per_post, refs_per_post, max_n):
     """Straight-line recount used as an oracle against the real routine."""
     precisions = []
@@ -48,31 +54,31 @@ class TestBleu:
     def test_frozen_single_pair(self):
         hyps = [[("a", "b", "c")]]
         refs = [[("a", "b", "d")]]
-        assert ev.multi_bleu(hyps, refs, 1) == pytest.approx(2 / 3, abs=1e-9)
-        assert ev.multi_bleu(hyps, refs, 2) == pytest.approx(SQRT_THIRD, abs=1e-9)
+        assert scored(ev.multi_bleu, hyps, refs, 1) == pytest.approx(2 / 3, abs=1e-9)
+        assert scored(ev.multi_bleu, hyps, refs, 2) == pytest.approx(SQRT_THIRD, abs=1e-9)
 
     def test_exact_match_scores_one(self):
         hyps = [[(1, 2, 3)], [(4, 5)]]
         refs = [[(1, 2, 3)], [(4, 5), (9, 9, 9)]]
-        assert ev.multi_bleu(hyps, refs, 2) == pytest.approx(1.0, abs=1e-12)
+        assert scored(ev.multi_bleu, hyps, refs, 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_precision_means_zero(self):
-        assert ev.multi_bleu([[(7, 8)]], [[(1, 2)]], 1) == 0.0
+        assert scored(ev.multi_bleu, [[(7, 8)]], [[(1, 2)]], 1) == 0.0
         # unigrams overlap but no bigram does: still zero, no smoothing
-        assert ev.multi_bleu([[(1, 9, 2)]], [[(1, 2)]], 2) == 0.0
+        assert scored(ev.multi_bleu, [[(1, 9, 2)]], [[(1, 2)]], 2) == 0.0
 
     def test_brevity_penalty_uses_closest_reference(self):
         hyps = [[(1,)]]
         refs = [[(1, 1, 1, 1), (1, 1)]]
         # closest ref has length 2: BP = exp(1 - 2/1)
         expected = math.exp(-1.0)
-        assert ev.multi_bleu(hyps, refs, 1) == pytest.approx(expected, abs=1e-12)
+        assert scored(ev.multi_bleu, hyps, refs, 1) == pytest.approx(expected, abs=1e-12)
 
     def test_clipping_caps_repeats(self):
         hyps = [[(1, 1, 1, 1)]]
         refs = [[(1, 1)]]
         # long hypothesis: no brevity penalty, clipped precision 2/4
-        assert ev.multi_bleu(hyps, refs, 1) == pytest.approx(0.5, abs=1e-12)
+        assert scored(ev.multi_bleu, hyps, refs, 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_naive_recount_on_random_cases(self):
         rng = np.random.default_rng(42)
@@ -85,40 +91,40 @@ class TestBleu:
                 hyps.append([tuple(rng.integers(0, 6, size=rng.integers(0, 7)).tolist())
                              for _ in range(int(rng.integers(1, 4)))])
             for n in (1, 2):
-                assert ev.multi_bleu(hyps, refs, n) == pytest.approx(
+                assert scored(ev.multi_bleu, hyps, refs, n) == pytest.approx(
                     naive_bleu(hyps, refs, n), abs=1e-12)
 
     def test_empty_hypotheses_score_zero(self):
-        assert ev.multi_bleu([[()]], [[(1, 2)]], 2) == 0.0
+        assert scored(ev.multi_bleu, [[()]], [[(1, 2)]], 2) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            ev.multi_bleu([], [], 1)
+            scored(ev.multi_bleu, [], [], 1)
         with pytest.raises(ValidationError):
-            ev.multi_bleu([[(1,)]], [[]], 1)
+            scored(ev.multi_bleu, [[(1,)]], [[]], 1)
         with pytest.raises(ValidationError):
-            ev.multi_bleu([[(1,)]], [[(1,)], [(2,)]], 1)
+            scored(ev.multi_bleu, [[(1,)]], [[(1,)], [(2,)]], 1)
 
 
 class TestDistinct:
     def test_frozen_pooled_values(self):
         group = [("a", "b"), ("a", "c"), ("a", "b")]
-        assert ev.inter_dist([group], 1) == pytest.approx(0.5, abs=1e-12)
-        assert ev.inter_dist([group], 2) == pytest.approx(2 / 3, abs=1e-12)
+        assert scored(ev.inter_dist, [group], 1) == pytest.approx(0.5, abs=1e-12)
+        assert scored(ev.inter_dist, [group], 2) == pytest.approx(2 / 3, abs=1e-12)
         # one group only, so intra equals inter here
-        assert ev.intra_dist([group], 1) == pytest.approx(0.5, abs=1e-12)
+        assert scored(ev.intra_dist, [group], 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_intra_is_the_mean_over_posts(self):
         groups = [[(1, 1)], [(1, 2)]]  # ratios 0.5 and 1.0
-        assert ev.intra_dist(groups, 1) == pytest.approx(0.75, abs=1e-12)
+        assert scored(ev.intra_dist, groups, 1) == pytest.approx(0.75, abs=1e-12)
 
     def test_inter_pools_before_dividing(self):
         groups = [[(1, 2)], [(1, 2)]]
-        assert ev.inter_dist(groups, 1) == pytest.approx(0.5, abs=1e-12)
+        assert scored(ev.inter_dist, groups, 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_short_sequences_are_skipped_for_higher_n(self):
         groups = [[(1,)], [(1, 2)]]
-        assert ev.intra_dist(groups, 2) == pytest.approx(1.0, abs=1e-12)
+        assert scored(ev.intra_dist, groups, 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_naive_recount_on_random_cases(self):
         rng = np.random.default_rng(7)
@@ -138,9 +144,9 @@ class TestDistinct:
                         per_group.append(len(local) / sum(local.values()))
                 if sum(pooled.values()) == 0:
                     continue
-                assert ev.inter_dist(groups, n) == pytest.approx(
+                assert scored(ev.inter_dist, groups, n) == pytest.approx(
                     len(pooled) / sum(pooled.values()), abs=1e-12)
-                assert ev.intra_dist(groups, n) == pytest.approx(
+                assert scored(ev.intra_dist, groups, n) == pytest.approx(
                     float(np.mean(per_group)), abs=1e-12)
 
 
@@ -183,9 +189,9 @@ class TestEvaluate:
         hyps = [[s.token_ids for s in rep.samples if s.post_id == i] for i in range(len(test))]
         refs = [[tuple(vocab.encode(resp)) for resp in r.responses] for r in test]
         for n in (1, 2):
-            assert rep.metrics[f"bleu_{n}"] == ev.multi_bleu(hyps, refs, n)
-            assert rep.metrics[f"intra_dist_{n}"] == ev.intra_dist(hyps, n)
-            assert rep.metrics[f"inter_dist_{n}"] == ev.inter_dist(hyps, n)
+            assert rep.metrics[f"bleu_{n}"] == scored(ev.multi_bleu, hyps, refs, n)
+            assert rep.metrics[f"intra_dist_{n}"] == scored(ev.intra_dist, hyps, n)
+            assert rep.metrics[f"inter_dist_{n}"] == scored(ev.inter_dist, hyps, n)
 
     def test_chunking_does_not_change_results(self, tiny_world):
         model, vocab, test = tiny_world
@@ -274,10 +280,10 @@ class TestEncodeOncePerPost:
             assert res.token_ids == ref.token_ids
             np.testing.assert_array_equal(res.coverage, ref.coverage)
             if ref.focus is None:
-                assert res.focus is None and res.alignment is None
+                assert res.focus is None and res.alignment_gap is None
             else:
                 np.testing.assert_array_equal(res.focus, ref.focus)
-                assert res.alignment.distance == ref.alignment.distance
+                assert res.alignment_gap == ref.alignment_gap
 
     def test_each_chunk_encodes_its_distinct_posts_once(self, monkeypatch):
         model, posts = self.world("focconstrain")

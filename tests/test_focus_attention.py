@@ -1,6 +1,5 @@
-"""Focus distribution, coverage attention, alignment diagnostics."""
+"""Focus distribution, coverage attention, alignment gap."""
 
-import csv
 import math
 
 import numpy as np
@@ -8,10 +7,10 @@ import pytest
 
 from focuscvae import autodiff as ad
 from focuscvae.autodiff import Tensor, grad_check
-from focuscvae.errors import MaskError, ValidationError
+from focuscvae.errors import DimensionError, MaskError, ValidationError
 from focuscvae.focus import (
-    AttentionWeights, FocusWeights, attend_step, build_attention,
-    coverage_report, focus_generate,
+    AttentionWeights, FocusWeights, alignment_gap, attend_step, build_attention,
+    focus_generate,
 )
 
 
@@ -221,37 +220,27 @@ def test_focus_prior_attention_gradients():
     _check_focus_attention_gradients(focus_prior=True)
 
 
-def test_coverage_report_frozen_distances():
+def test_alignment_gap_frozen_distances():
     # fully misaligned one-hot pair
-    rec = coverage_report(np.array([0.0, 2.0]), resp_len=2, focus=np.array([1.0, 0.0]))
-    assert rec.distance == pytest.approx(np.sqrt(2.0), abs=1e-12)
-    assert rec.focus_argmax == 0 and rec.coverage_argmax == 1
+    gap = alignment_gap(np.array([0.0, 2.0]), resp_len=2, focus=np.array([1.0, 0.0]))
+    assert gap == pytest.approx(np.sqrt(2.0), abs=1e-12)
     # milder disagreement
-    rec = coverage_report(np.array([3.0, 1.0]), resp_len=4, focus=np.array([0.5, 0.5]))
-    assert rec.distance == pytest.approx(0.35355339059327373, abs=1e-12)
+    gap = alignment_gap(np.array([3.0, 1.0]), resp_len=4, focus=np.array([0.5, 0.5]))
+    assert gap == pytest.approx(0.35355339059327373, abs=1e-12)
     # eight positions: numpy's pairwise np.sum gives 0.13540064007726602 here,
     # the left-to-right sum gives 0.135400640077266
     cov = np.array([0.4, 0.7, 0.1, 0.6, 0.2, 0.3, 0.5, 0.2])
     focus = np.array([0.1, 0.15, 0.0, 0.2, 0.15, 0.1, 0.2, 0.1])
-    rec = coverage_report(cov, resp_len=3, focus=focus)
+    gap = alignment_gap(cov, resp_len=3, focus=focus)
     total = 0.0
     for c, f in zip(cov, focus):
         diff = c / 3.0 - f
         total += diff * diff
-    assert rec.distance == math.sqrt(total) == 0.135400640077266
+    assert gap == math.sqrt(total) == 0.135400640077266
 
 
-def test_coverage_report_validates():
+def test_alignment_gap_validates():
     with pytest.raises(ValidationError):
-        coverage_report(np.array([1.0]), resp_len=0, focus=np.array([1.0]))
-
-
-def test_alignment_csv_layout(tmp_path):
-    rec = coverage_report(np.array([1.5, 0.5]), resp_len=2, focus=np.array([0.9, 0.1]))
-    path = tmp_path / "alignment.csv"
-    rec.write_csv(path, ["kw01", "fl02"])
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == ["position", "token", "focus", "coverage_over_len"]
-    assert rows[1][:2] == ["0", "kw01"]
-    assert float(rows[1][2]) == 0.9 and float(rows[2][3]) == 0.25
-
+        alignment_gap(np.array([1.0]), resp_len=0, focus=np.array([1.0]))
+    with pytest.raises(DimensionError):
+        alignment_gap(np.array([1.0, 0.0]), resp_len=1, focus=np.array([1.0]))
