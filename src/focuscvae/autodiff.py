@@ -11,10 +11,9 @@ scalar against tensor.  Row/column broadcasts needed by the model go through
 dedicated primitives (bias_add, scale_rows, repeat_rows, sum_groups) so each
 backward rule stays a couple of lines.
 
-Two primitives fuse a recurrence, and both share one definition of a GRU
-step's arithmetic.  `gru_cell` is one step (the decoder's); `bigru_layer`
-is a whole bidirectional encoder layer, both directions stepping in
-lockstep.  `masked_mean` pools the encoder states.  Their hand-written
+One primitive, `gru_layer`, fuses a GRU recurrence: a bidirectional
+encoder layer with both directions stepping in lockstep, or one decoder
+step.  `masked_mean` pools the encoder states.  Their hand-written
 backward passes reproduce the gradients of the op-by-op composition bit
 for bit.  A `focconstrain` training step records 215 nodes with them,
 against 2,164 op by op.
@@ -485,7 +484,7 @@ def log_softmax(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# GRU: one step's arithmetic, a one-step cell and a bidirectional layer
+# GRU: one step's arithmetic and a layer of steps
 
 
 @dataclass
@@ -503,12 +502,7 @@ class GRUCellWeights:
     b_h: Tensor
 
     def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.{f}": getattr(self, f) for f in
-                ("W_u", "U_u", "b_u", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")}
-
-
-# the order in which a step's backward lists its weights' gradient parts
-_STEP_WEIGHT_ORDER = ("W_h", "U_h", "b_h", "W_r", "U_r", "b_r", "W_u", "U_u", "b_u")
+        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 def _sigmoid(d: Array, out: Array | None = None) -> Array:
@@ -526,14 +520,13 @@ def _sigmoid(d: Array, out: Array | None = None) -> Array:
 
 def _gru_step(xw: Array, h: Array, U: Array, b: Array,
               keep: Array | None, drop: Array | None) -> tuple[Array, Array, Array, Array]:
-    """One GRU step on arrays: the one definition of its forward arithmetic,
-    for `gru_cell` and `bigru_layer` alike.
+    """One GRU step on arrays, the one definition of its forward arithmetic.
 
     h is [..., B, u], and U stacks (U_u, U_r, U_h) on a new first axis.
     xw stacks the input projections (x W_u, x W_r, x W_h) the same way, and
     b the biases (b_u, b_r, b_h), each [..., 1, u].  keep and drop = 1 - keep
     are [..., B, 1] mask columns, or None.  Leading axes stack independent
-    cells, as `bigru_layer` stacks its two directions: every product is
+    cells, as `gru_layer` stacks its two directions: every product is
     still one 2-d matmul per cell and the rest is elementwise, so stacking
     changes no bit.  Returns (h', ur, c, 1 - u), where ur stacks u and r.
     """
@@ -595,172 +588,139 @@ def _gru_step_grads(g: Array, h: Array, ur: Array, c: Array, omu: Array,
     return parts
 
 
-def _check_cell(op: str, w: GRUCellWeights, d_in: int, d_h: int, context: str) -> None:
-    expected = {"W": (d_in, d_h), "U": (d_h, d_h), "b": (d_h,)}
-    for f in fields(w):
-        shape, want = getattr(w, f.name).shape, expected[f.name[0]]
-        if shape != want:
-            raise DimensionError(f"{op}: {f.name} has shape {shape}, expected {want} for {context}")
-
-
 def _gate_stacks(cells: Sequence[GRUCellWeights]) -> tuple[Array, Array, Array]:
-    """W, U and b of the cells as [gate u/r/h, cell, ...] arrays."""
-    return tuple(np.stack([getattr(w, f"{kind}_{gate}").data for gate in "urh" for w in cells])
-                 .reshape((3, len(cells)) + getattr(cells[0], f"{kind}_u").shape)
-                 for kind in "WUb")
+    """W, U and b of the cells as [gate u/r/h, cell, rows, u] arrays, b with one row."""
+    arrays = [[getattr(w, f"{kind}_{gate}").data for gate in "urh" for w in cells]
+              for kind in "WUb"]
+    return tuple(np.concatenate(a).reshape(3, len(cells), -1, a[0].shape[-1]) for a in arrays)
 
 
-def gru_cell(x: Tensor, h_prev: Tensor, w: GRUCellWeights,
-             keep: Array | None = None) -> Tensor:
-    """One GRU step on a batch of rows, recorded as a single tape node.
+def _by_step(a: Array, n: int) -> Array:
+    """[position, direction (or 1, shared), ...] to [step, direction, ...]:
+    direction 1 reads the positions backwards."""
+    return a if n == 1 else np.stack([a[:, 0], a[::-1, -1]], axis=1)
+
+
+def _join(a: Array) -> Array:
+    """[D, B, u] states as [B, D*u] rows, a view for one direction."""
+    return a[0] if len(a) == 1 else np.concatenate(a, axis=1)
+
+
+def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights],
+              h0: Tensor | None = None) -> Tensor:
+    """A GRU layer over a padded batch, recorded as one tape node.
 
     update gate   u = sigmoid(x W_u + h U_u + b_u)
     reset gate    r = sigmoid(x W_r + h U_r + b_r)
     candidate     c = tanh(x W_h + (r*h) U_h + b_h)
     new state     h' = (1-u)*h + u*c
 
-    keep, a [B, 1] column of 0/1, masks the step: the output is
-    h'*keep + h*(1-keep), so a row whose keep is 0 (a PAD position) carries
-    its state through unchanged.
+    x is [B, T*d_in], position t in columns t*d_in:(t+1)*d_in.  cells holds
+    one cell, reading positions 0..T-1, or a (forward, backward) pair whose
+    second cell reads T-1..0; D is their number.  With a [B, T] 0/1 mask a
+    step gives h'*keep + h*(1-keep), keep being its position's column, so
+    PAD positions carry the state through.  h0 is the [B, D*u] initial
+    state (None: zeros).  Position t of the [B, T*D*u] output holds each
+    cell's state after reading it.  A decoder step is one cell at T = 1.
 
-    The step (`_gru_step`) computes every value of the composition of
-    primitives (matmul, add, bias_add, sigmoid, tanh, mul, neg, scale_rows)
-    it replaces with the same rounding, and its backward (`_gru_step_grads`)
-    applies each of their rules in reverse recording order.  Each input is
-    listed in the node once per gradient part, in the order that
-    composition's tape added the parts (x: W_h, W_r, W_u; h_prev: carry,
-    (1-u)*h, r*h, U_r, U_u), so outputs and gradients are bit-identical to
-    it.
+    The cells step in lockstep on [D, B, u] stacks, with the input
+    projections computed before the loop.  Each backward step takes its
+    weight gradients in one matmul per kind and writes its input gradients
+    in place, one matmul per cell.  One cell reads x through a view, and at
+    T = 1 the state is the output: extra temporaries made glibc give heap
+    pages back and fault them in again on every call.
 
-    With all-zero weights this halves h_prev (u = 0.5, c = 0), which the
-    tests pin down as the convention check.
+    Outputs and gradients are bit-identical to the op-by-op composition
+    (matmul, add, bias_add, sigmoid, tanh, mul, neg, scale_rows, concat):
+    each stacked product is the same 2-d matmul, and the node lists each
+    input once per gradient part in that composition's order: x three times
+    per cell (W_h, W_r, W_u parts), h0 once per part (carry when masked,
+    (1-u)*h, r*h, U_r, U_u), each weight once per step; the backward cell
+    first, steps from the last to the first.  With all-zero weights a step
+    halves the state (u = 0.5, c = 0), the tests' convention check.
     """
-    if x.data.ndim != 2 or h_prev.data.ndim != 2 or x.shape[0] != h_prev.shape[0]:
-        raise DimensionError(
-            f"gru_cell: input {x.shape} and state {h_prev.shape} need 2-d operands with equal rows")
-    _check_cell("gru_cell", w, x.shape[1], h_prev.shape[1],
-                f"input {x.shape} and state {h_prev.shape}")
-    if keep is not None and keep.shape != (x.shape[0], 1):
-        raise DimensionError(f"gru_cell: keep has shape {keep.shape}, expected ({x.shape[0]}, 1)")
-    xd, h = x.data, h_prev.data
-    W, U, b = (s[:, 0] for s in _gate_stacks([w]))
-    drop = None if keep is None else 1.0 - keep
-    h_new, ur, c, omu = _gru_step(xd @ W, h, U, b[:, None], keep, drop)
-    x_rg, h_rg = x.requires_grad, h_prev.requires_grad
+    n = len(cells)
+    if n not in (1, 2):
+        raise DimensionError(f"gru_layer: takes one cell or a (forward, backward) pair, got {n}")
+    d_in, units = cells[0].W_u.shape
+    m = None if mask is None else np.asarray(mask)
+    if m is not None and (m.ndim != 2 or m.shape[1] == 0):
+        raise DimensionError(f"gru_layer: mask must be [B, T] with T > 0, got shape {m.shape}")
+    if x.data.ndim != 2:
+        raise DimensionError(f"gru_layer: input must be 2-d, got shape {x.shape}")
+    b, t = (x.shape[0], x.shape[1] // d_in) if m is None else m.shape
+    if t == 0 or x.shape != (b, t * d_in):
+        raise DimensionError(f"gru_layer: input {x.shape} does not hold {max(t, 1)} positions of "
+                             f"width {d_in} for {b} rows")
+    if h0 is not None and h0.shape != (b, n * units):
+        raise DimensionError(f"gru_layer: h0 has shape {h0.shape}, expected {(b, n * units)}")
+    want = {"W": (d_in, units), "U": (units, units), "b": (units,)}
+    for cell in cells:
+        for f in fields(cell):
+            shape = getattr(cell, f.name).shape
+            if shape != want[f.name[0]]:
+                raise DimensionError(f"gru_layer: {f.name} has shape {shape}, expected "
+                                     f"{want[f.name[0]]} for {d_in} inputs and {units} units")
 
-    def backward(g: Array):
-        dg = np.empty((3,) + h.shape)
-        h_parts = _gru_step_grads(g, h, ur, c, omu, keep, drop, U, dg, h_rg)
-        du, dr, dc = dg
-        rh = ur[1] * h
-        return (
-            *(dg[::-1] @ W[::-1].transpose(0, 2, 1) if x_rg else [None] * 3),
-            *(h_parts if h_rg else [None] * n_h),
-            xd.T @ dc, rh.T @ dc, dc.sum(axis=0),
-            xd.T @ dr, h.T @ dr, dr.sum(axis=0),
-            xd.T @ du, h.T @ du, du.sum(axis=0),
-        )
-
-    n_h = 4 if keep is None else 5
-    inputs = (x,) * 3 + (h_prev,) * n_h + tuple(getattr(w, n) for n in _STEP_WEIGHT_ORDER)
-    return _record(inputs, Tensor(h_new), backward)
-
-
-def bigru_layer(x: Tensor, mask, fwd: GRUCellWeights, bwd: GRUCellWeights) -> Tensor:
-    """A bidirectional GRU layer over a padded batch, recorded as one tape node.
-
-    x is [B, T*d_in], position t in columns t*d_in:(t+1)*d_in, and mask is
-    [B, T] of 0/1.  The output is [B, T*2u]: position t holds the forward
-    state after reading positions 0..t, then the backward state after
-    reading T-1..t.  Each step is `gru_cell`'s arithmetic with the mask
-    column as keep, so a PAD position carries both states through.
-
-    The two directions run in lockstep: step i advances the forward cell at
-    position i and the backward cell at position T-1-i in the same numpy
-    calls, on [2, B, u] stacks, and the input projections of every step are
-    computed before the loop.  The backward loop takes each step's weight
-    and input gradients for both directions and all three gates in one
-    matmul per kind.  It builds no stacks of them over all steps: those
-    temporaries (up to 1.4 MB each) made glibc give heap pages back and
-    fault them in again on every training step.
-
-    Outputs and gradients are bit-identical to the per-step `gru_cell` nodes
-    and per-position `concat` nodes this replaces.  Every stacked product is
-    the same 2-d matmul that composition made, and the node lists its inputs
-    once per gradient part in the order that composition's tape added them:
-    x six times (the backward cell's W_h, W_r, W_u parts, then the forward
-    cell's), then each weight once per step, the backward cell's before the
-    forward cell's, steps from the last to the first.
-    """
-    m = np.asarray(mask)
-    if m.ndim != 2 or m.shape[1] == 0:
-        raise DimensionError(f"bigru_layer: mask must be [B, T] with T > 0, got shape {m.shape}")
-    b, t = m.shape
-    d_in, units = fwd.W_u.shape
-    if x.data.ndim != 2 or x.shape != (b, t * d_in):
-        raise DimensionError(f"bigru_layer: input {x.shape} does not hold {t} positions of "
-                             f"width {d_in} for mask {m.shape}")
-    for cell in (fwd, bwd):
-        _check_cell("bigru_layer", cell, d_in, units, f"input width {d_in} and {units} units")
-
-    # [gate u/r/h, direction, ...], the forward cell first
-    W, U, bias = _gate_stacks([fwd, bwd])
-    bias = bias[:, :, None]
-    # [step, direction, ...]: step i reads position i forward and T-1-i backward
-    xs = x.data.reshape(b, t, d_in).transpose(1, 0, 2)
-    xd = np.stack([xs, xs[::-1]], axis=1)
+    # [gate u/r/h, direction, ...]
+    W, U, bias = _gate_stacks(cells)
+    # [step, direction, ...]
+    xd = _by_step(x.data.reshape(b, t, d_in).transpose(1, 0, 2)[:, None], n)
     xw = xd[:, None] @ W  # [step, gate, direction, B, u]
-    col = m.T.astype(np.float64)[:, :, None]
-    keep = np.stack([col, col[::-1]], axis=1)
-    drop = 1.0 - keep
+    keep = [None] * t if m is None else _by_step(m.T.astype(np.float64)[:, None, :, None], n)
+    drop = keep if m is None else 1.0 - keep
+    h = np.zeros((n, b, units)) if h0 is None else h0.data.reshape(b, n, units).transpose(1, 0, 2)
 
-    bwd_weights, fwd_weights = (tuple(getattr(cell, n) for n in _STEP_WEIGHT_ORDER)
-                                for cell in (bwd, fwd))
-    inputs = (x,) * 6 + bwd_weights * t + fwd_weights * t
+    n_h = 0 if h0 is None else 4 if m is None else 5
+    inputs = (x,) * (3 * n) + (h0,) * n_h
+    for cell in cells[::-1]:  # in the order of each step's weight parts below
+        inputs += (cell.W_h, cell.U_h, cell.b_h, cell.W_r, cell.U_r, cell.b_r,
+                   cell.W_u, cell.U_u, cell.b_u) * t
     recording = _recording(inputs)
-    out = np.empty((b, t, 2, units))
-    h = np.zeros((2, b, units))
+    out = np.empty((b, t, n, units)) if t > 1 else None
     saved = []  # (h, ur, c, 1 - u) of each step, kept only for a backward pass
     for i in range(t):
         h_new, ur, c, omu = _gru_step(xw[i], h, U, bias, keep[i], drop[i])
         if recording:
             saved.append((h, ur, c, omu))
-        out[:, i, 0] = h_new[0]
-        out[:, t - 1 - i, 1] = h_new[1]
+        if out is not None:
+            for d, pos in enumerate((i, t - 1 - i)[:n]):
+                out[:, pos, d] = h_new[d]
         h = h_new
-    x_rg = x.requires_grad
+    out = _join(h) if out is None else out.reshape(b, t * n * units)
+    x_rg, h0_rg = x.requires_grad, h0 is not None and h0.requires_grad
 
     def backward(g: Array):
-        g4 = g.reshape(b, t, 2, units)
+        g4 = g.reshape(b, t, n, units)
         W_T = W.transpose(0, 1, 3, 2)
-        # each direction's input gradient as [gate u/r/h, B, position, d_in]
-        px = np.empty((2, 3, b, t, d_in)) if x_rg else None
-        w_grads = [None] * t
-        h_parts = []
+        px = np.empty((3, n, b, t, d_in)) if x_rg else None  # [gate h/r/u, direction, B, T, d_in]
+        w_grads, h_parts = [], []  # w_grads from the last step to the first
         for i in range(t - 1, -1, -1):
-            # step i's output gradient: its positions' columns, then step
-            # i+1's parts for its state, in the order the tape added them
-            gh = np.stack([g4[:, i, 0], g4[:, t - 1 - i, 1]])
-            for part in h_parts:
+            # step i's output gradient, then step i+1's parts for its state,
+            # in the order the tape added them
+            gh = g4[:, i, 0][None] if n == 1 else np.stack([g4[:, i, 0], g4[:, t - 1 - i, 1]])
+            gh = gh if i == t - 1 else gh + h_parts[0]
+            for part in h_parts[1:]:
                 gh += part
             h, ur, c, omu = saved[i]
-            dg = np.empty((3, 2, b, units))  # [gate u/r/h, direction, B, u]
-            h_parts = _gru_step_grads(gh, h, ur, c, omu, keep[i], drop[i], U, dg, i > 0)
-            w_grads[i] = (xd[i].transpose(0, 2, 1) @ dg, h.transpose(0, 2, 1) @ dg[:2],
-                          (ur[1] * h).transpose(0, 2, 1) @ dg[2], dg.sum(axis=2))
+            dg = np.empty((3, n, b, units))  # [gate u/r/h, direction, B, u]
+            h_parts = _gru_step_grads(gh, h, ur, c, omu, keep[i], drop[i], U, dg,
+                                      i > 0 or h0_rg)
+            w_grads.append((xd[i].transpose(0, 2, 1) @ dg, h.transpose(0, 2, 1) @ dg[:2],
+                            (ur[1] * h).transpose(0, 2, 1) @ dg[2], dg.sum(axis=2)))
             if x_rg:
-                dx = dg @ W_T
-                px[0, :, :, i] = dx[:, 0]
-                px[1, :, :, t - 1 - i] = dx[:, 1]
-        x_parts = [None] * 6
-        if x_rg:
-            x_parts = [px[d, k].reshape(b, t * d_in) for d in (1, 0) for k in (2, 1, 0)]
-        return (*x_parts, *(p for d in (1, 0) for gW, gU, gU_h, gb in w_grads[::-1] for p in (
-            gW[2, d], gU_h[d], gb[2, d],
-            gW[1, d], gU[1, d], gb[1, d],
-            gW[0, d], gU[0, d], gb[0, d])))
+                for d, pos in enumerate((i, t - 1 - i)[:n]):
+                    np.matmul(dg[:, d], W_T[:, d], out=px[::-1, d, :, pos])
+        parts = ([p for d in range(n - 1, -1, -1) for p in px[:, d].reshape(3, b, t * d_in)]
+                 if x_rg else [None] * (3 * n))
+        parts += [_join(p) for p in h_parts] if h0_rg else [None] * n_h
+        for d in range(n - 1, -1, -1):
+            for gW, gU, gU_h, gb in w_grads:
+                parts += (gW[2, d], gU_h[d], gb[2, d], gW[1, d], gU[1, d], gb[1, d],
+                          gW[0, d], gU[0, d], gb[0, d])
+        return parts
 
-    return _record(inputs, Tensor(out.reshape(b, t * 2 * units)), backward)
+    return _record(inputs, Tensor(out), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import evaluation, training
 from .config import TrainConfig, VARIANTS, uses_latent
-from .corpus import (Vocabulary, generate_synthetic, load_jsonl, save_jsonl, split_records,
-                     to_pairs)
+from .corpus import (Vocabulary, generate_synthetic, load_jsonl, read_json, save_jsonl,
+                     split_records, to_pairs)
 from .errors import CompatibilityError, ConfigError, FocusCVAEError
 from .model import FocusCVAE
 from .training import load_checkpoint, restore_model
@@ -79,25 +79,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require(path: Path, what: str) -> Path:
-    if not path.exists():
-        raise ConfigError(f"no {what} at {path}")
+    if not path.is_file():
+        raise ConfigError(f"no {what} file at {path}")
     return path
 
 
 def _load_vocab(explicit: Path | None, near: Path) -> Vocabulary:
     path = explicit if explicit is not None else near.parent / "vocab.json"
-    if not path.exists():
-        raise ConfigError(f"no vocabulary at {path}; pass --vocab")
+    if not path.is_file():
+        raise ConfigError(f"no vocabulary file at {path}; pass --vocab")
     return Vocabulary.load(path)
 
 
 def _resolved_train_config(args, vocab_len: int) -> TrainConfig:
     raw: dict = {}
     if args.config is not None:
-        try:
-            raw = json.loads(args.config.read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{args.config}: invalid JSON ({e.msg})") from None
+        raw = read_json(_require(args.config, "config"))
         if not isinstance(raw, dict):
             raise ConfigError(f"{args.config}: expected a JSON object")
     cfg = TrainConfig.from_dict({"vocab_size": vocab_len, **raw})
@@ -148,6 +145,7 @@ def cmd_train(args) -> int:
                 or args.paper_init):
             raise ConfigError("a resumed run takes its config from the checkpoint; "
                               "only --steps may change")
+        training.check_resume(cfg.validate(), resume)  # before config.json is rewritten
     else:
         cfg = _resolved_train_config(args, len(vocab))
 

@@ -90,13 +90,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: invalid JSON ({e.msg})") from None
-        if not isinstance(payload, dict) or "tokens" not in payload:
-            raise ParseError(f"{path}: missing 'tokens' key")
-        return cls(payload["tokens"])
+        payload = read_json(path)
+        tokens = payload.get("tokens") if isinstance(payload, dict) else None
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ParseError(f"{path}: 'tokens' must be a list of strings")
+        return cls(tokens)
 
 
 @dataclass
@@ -273,31 +271,45 @@ def _check_tokens(value, what: str, lineno: int) -> list[str]:
     return value
 
 
+def read_text(path) -> str:
+    """A file's text, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from None
+
+
+def read_json(path):
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: invalid JSON ({e.msg})") from None
+
+
 def load_jsonl(path) -> list[PostRecord]:
     records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"line {lineno}: invalid JSON ({e.msg})") from None
-            if not isinstance(payload, dict) or "post" not in payload:
-                raise ParseError(f"line {lineno}: missing 'post' key")
-            if "responses" not in payload:
-                raise ParseError(f"line {lineno}: missing 'responses' key")
-            post = _check_tokens(payload["post"], "post", lineno)
-            raw_responses = payload["responses"]
-            if not isinstance(raw_responses, list) or not raw_responses:
-                raise ParseError(f"line {lineno}: 'responses' must be a non-empty list")
-            responses = [_check_tokens(r, "response", lineno) for r in raw_responses]
-            gold = payload.get("gold_focus_slot")
-            if gold is not None:
-                if not isinstance(gold, list) or len(gold) != len(responses) \
-                        or not all(isinstance(s, int) for s in gold):
-                    raise ParseError(f"line {lineno}: 'gold_focus_slot' must list one int per response")
-            records.append(PostRecord(post, responses, gold))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"line {lineno}: invalid JSON ({e.msg})") from None
+        if not isinstance(payload, dict) or "post" not in payload:
+            raise ParseError(f"line {lineno}: missing 'post' key")
+        if "responses" not in payload:
+            raise ParseError(f"line {lineno}: missing 'responses' key")
+        post = _check_tokens(payload["post"], "post", lineno)
+        raw_responses = payload["responses"]
+        if not isinstance(raw_responses, list) or not raw_responses:
+            raise ParseError(f"line {lineno}: 'responses' must be a non-empty list")
+        responses = [_check_tokens(r, "response", lineno) for r in raw_responses]
+        gold = payload.get("gold_focus_slot")
+        # a bool is an int subclass but names no slot
+        if gold is not None and (not isinstance(gold, list) or len(gold) != len(responses)
+                                 or not all(type(s) is int for s in gold)):
+            raise ParseError(f"line {lineno}: 'gold_focus_slot' must list one int per response")
+        records.append(PostRecord(post, responses, gold))
     return records
 
 

@@ -67,8 +67,8 @@ def _decode_step(setup: AttentionSetup, states: list[Tensor], coverage: Tensor,
     alpha, context, coverage = attend_step(setup, states[-1], coverage, update_mask=update_mask)
     b = setup.post_mask.shape[0]
     x = ad.repeat_rows(w.start, b) if t == 1 else ad.embedding(emb_table, prev)
-    s0 = ad.gru_cell(x, states[0], w.cells[0])
-    s1 = ad.gru_cell(s0, states[1], w.cells[1])
+    s0 = ad.gru_layer(x, None, w.cells[:1], states[0])
+    s1 = ad.gru_layer(s0, None, w.cells[1:], states[1])
     logits = affine(ad.concat([s1, context], axis=1), w.out)
     return logits, alpha, [s0, s1], coverage
 

@@ -1,12 +1,13 @@
 """Shared bidirectional GRU encoders and the Gaussian latent machinery.
 
 Post and response run through the *same* stacked bidirectional GRU (one
-parameter set).  Each layer is one `bigru_layer` node whose mask carries
-both directions' states unchanged through PAD positions, so padding never
-leaks into them, and the masked mean over positions is one `masked_mean`
-node.  The pooled encodings feed two affine heads: recognition (post +
-response, training only) and prior (post only), each emitting mean and
-log-variance of a diagonal Gaussian over the latent z.
+parameter set).  Each layer is one `gru_layer` node over a (forward,
+backward) cell pair whose mask carries both directions' states unchanged
+through PAD positions, so padding never leaks into them, and the masked
+mean over positions is one `masked_mean` node.  The pooled encodings feed
+two affine heads: recognition (post + response, training only) and prior
+(post only), each emitting mean and log-variance of a diagonal Gaussian
+over the latent z.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GRUCellWeights, Tensor, bigru_layer
+from .autodiff import GRUCellWeights, Tensor, gru_layer
 from .errors import DimensionError, ValidationError
 
 # clamp on every emitted log-variance, so exp(log_var) stays finite
@@ -106,8 +107,8 @@ def encode(token_ids, mask, emb_table: Tensor, weights: EncoderWeights) -> Encod
 
     # [B, T*width] rows, position i in the i-th block of columns
     h = ad.concat([ad.embedding(emb_table, ids[:, i]) for i in range(t)], axis=1)
-    for fwd_cell, bwd_cell in weights.layers:
-        h = bigru_layer(h, m, fwd_cell, bwd_cell)
+    for cells in weights.layers:
+        h = gru_layer(h, m, cells)
     flat = ad.reshape(h, (b * t, h.shape[1] // t))
     return EncoderOutputs(flat, ad.masked_mean(h, m), b, t)
 

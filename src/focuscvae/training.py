@@ -387,6 +387,18 @@ class TrainResult:
     checkpoint_path: Path | None
 
 
+def check_resume(cfg: TrainConfig, resume: CheckpointState) -> None:
+    """Refuse to continue `resume` under cfg: total_steps is the budget resumed
+    toward, and every other field changes the replayed trajectory."""
+    ours, theirs = cfg.to_dict(), resume.config.to_dict()
+    ours.pop("total_steps"), theirs.pop("total_steps")
+    if ours != theirs:
+        diff = sorted(k for k in ours if ours[k] != theirs[k])
+        raise CompatibilityError(f"resume checkpoint config differs on {diff}")
+    if resume.step >= cfg.total_steps:
+        raise ValidationError(f"checkpoint is already at step {resume.step} of {cfg.total_steps}")
+
+
 def train(cfg: TrainConfig, pairs: list[PostResponsePair], out_dir=None,
           resume: CheckpointState | None = None) -> TrainResult:
     """Run cfg.total_steps optimization steps (continuing from `resume` if
@@ -405,16 +417,7 @@ def train(cfg: TrainConfig, pairs: list[PostResponsePair], out_dir=None,
             f"corpus uses token id {over} but config says vocab_size {cfg.vocab_size}")
 
     if resume is not None:
-        # total_steps is just the budget being resumed toward; every other
-        # field changes the replayed trajectory and must match.
-        ours, theirs = cfg.to_dict(), resume.config.to_dict()
-        ours.pop("total_steps"), theirs.pop("total_steps")
-        if ours != theirs:
-            diff = sorted(k for k in ours if ours[k] != theirs[k])
-            raise CompatibilityError(f"resume checkpoint config differs on {diff}")
-        if resume.step >= cfg.total_steps:
-            raise ValidationError(
-                f"checkpoint is already at step {resume.step} of {cfg.total_steps}")
+        check_resume(cfg, resume)
         model, adam = restore_model(resume)
         start_step = resume.step
         meta = dict(resume.meta)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from focuscvae import autodiff as ad
-from focuscvae.autodiff import Tensor, Tape, GRUCellWeights, grad_check, gru_cell
+from focuscvae.autodiff import Tensor, Tape, GRUCellWeights, grad_check, gru_layer
 from focuscvae.encoders import encode, init_encoder_weights
 from focuscvae.errors import DimensionError, DomainError, MaskError
 
@@ -248,6 +248,11 @@ def rand_cell(rng, d_in, d_h, scale=0.5, requires_grad=True):
     )
 
 
+def one_step(x, h_prev, w, keep=None):
+    """A decoder step: the one-cell layer at T = 1, with keep as its mask."""
+    return gru_layer(x, keep, [w], h_prev)
+
+
 def test_gru_cell_zero_weights_halve_state():
     d_in, d_h = 3, 4
     zeros = lambda shape: Tensor(np.zeros(shape), requires_grad=True)
@@ -257,7 +262,7 @@ def test_gru_cell_zero_weights_halve_state():
         W_h=zeros((d_in, d_h)), U_h=zeros((d_h, d_h)), b_h=zeros(d_h),
     )
     v = np.array([[0.2, -0.4, 1.0, 3.0]])
-    h = gru_cell(Tensor(np.ones((1, d_in))), Tensor(v), w)
+    h = one_step(Tensor(np.ones((1, d_in))), Tensor(v), w)
     np.testing.assert_allclose(h.data, 0.5 * v, atol=1e-15)
 
 
@@ -270,8 +275,8 @@ def _check_gru_cell_gradients(keep):
     h0 = Tensor(rng.normal(size=(b, d_h)), requires_grad=True)
 
     def f():
-        h1 = gru_cell(x, h0, w, keep)
-        h2 = gru_cell(x, h1, w, None if keep is None else 1.0 - keep)
+        h1 = one_step(x, h0, w, keep)
+        h2 = one_step(x, h1, w, None if keep is None else 1.0 - keep)
         return scalar_loss(ad.mul(h2, h2))
 
     params = {"x": x, "h0": h0, **w.named("w")}
@@ -291,13 +296,13 @@ def test_gru_cell_shape_mismatch():
     rng = np.random.default_rng(3)
     w = rand_cell(rng, 3, 4, requires_grad=False)
     with pytest.raises(DimensionError):
-        gru_cell(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 4))), w)
+        one_step(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 4))), w)
     with pytest.raises(DimensionError):
-        gru_cell(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 5))), w)
+        one_step(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 5))), w)
     with pytest.raises(DimensionError):
-        gru_cell(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), w)
+        one_step(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), w)
     with pytest.raises(DimensionError):
-        gru_cell(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), w, np.ones(2))
+        one_step(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), w, np.ones(2))
 
 
 # the op-by-op composition the fused cell replaced, kept as its reference
@@ -361,7 +366,7 @@ def _two_directions(cell, keeps):
 def test_fused_gru_cell_is_bit_identical_to_the_composition(masked):
     cols = [[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]]
     keeps = [np.array(c).reshape(-1, 1) if masked else None for c in cols]
-    fused_states, fused_grads, fused_nodes = _two_directions(gru_cell, keeps)
+    fused_states, fused_grads, fused_nodes = _two_directions(one_step, keeps)
     ref_states, ref_grads, ref_nodes = _two_directions(reference_gru_cell, keeps)
     assert fused_nodes == ref_nodes - 6 * (23 if masked else 20)
     for a, b in zip(fused_states, ref_states):
@@ -380,7 +385,7 @@ def test_sigmoid_matches_the_two_branch_form_bitwise():
         assert ad._sigmoid(d).tobytes() == reference_sigmoid_data(d).tobytes()
 
 
-# the encoder as it was before bigru_layer, kept as its reference: one cell
+# the encoder as it was before its fused layer, kept as its reference: one cell
 # node per step and direction, a concat per position, and pooling by a
 # chain of scale_rows and add
 
@@ -457,7 +462,8 @@ def _encode_layer(ids, mask, emb, weights):
     return out.states_flat, out.pooled
 
 
-@pytest.mark.parametrize("cell", [reference_gru_cell, gru_cell], ids=["composition", "gru_cell"])
+@pytest.mark.parametrize("cell", [reference_gru_cell, one_step],
+                         ids=["composition", "one_step_layer"])
 @pytest.mark.parametrize("name", list(ENCODE_CASES))
 def test_bigru_layer_encode_is_bit_identical_to_the_per_step_nodes(name, cell):
     case = ENCODE_CASES[name]
@@ -488,7 +494,7 @@ def test_bigru_layer_gradients_with_mask():
     probe = Tensor(rng.normal(size=(3, 4 * 4)))
 
     def f():
-        out = ad.bigru_layer(x, mask, fwd_w, bwd_w)
+        out = gru_layer(x, mask, (fwd_w, bwd_w))
         return scalar_loss(ad.mul(ad.mul(out, out), probe))
 
     params = {"x": x, **fwd_w.named("fwd"), **bwd_w.named("bwd")}
@@ -496,39 +502,94 @@ def test_bigru_layer_gradients_with_mask():
     assert report.passed, report.format()
 
 
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_one_cell_layer_is_bit_identical_to_its_chained_steps(masked):
+    rng = np.random.default_rng(29)
+    x, mask, (w, _) = _layer_inputs(rng)
+    h0 = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(3, 4 * 2)))
+    m = mask.astype(np.float64) if masked else None
+    params = [x, h0, *w.named("").values()]
+
+    def chained():
+        h, states = h0, []
+        for i in range(4):
+            h = one_step(ad.narrow(x, 1, 3 * i, 3), h, w, None if m is None else m[:, i:i + 1])
+            states.append(h)
+        return ad.concat(states, axis=1)
+
+    def run(layer):
+        for p in params:
+            p.zero_grad()
+        with Tape() as tape:
+            out = layer()
+            loss = ad.sum_all(ad.mul(ad.mul(out, out), probe))
+        tape.backward(loss)
+        return [out.data] + [p.grad for p in params]
+
+    fused = run(lambda: gru_layer(x, m, [w], h0))
+    for a, b in zip(fused, run(chained)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n_cells", [1, 2])
+def test_gru_layer_gradients_with_an_initial_state(n_cells):
+    rng = np.random.default_rng(37)
+    x, mask, cells = _layer_inputs(rng)
+    cells = cells[:n_cells]
+    h0 = Tensor(rng.normal(size=(3, 2 * n_cells)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(3, 4 * 2 * n_cells)))
+
+    def f():
+        out = gru_layer(x, mask, cells, h0)
+        return scalar_loss(ad.mul(ad.mul(out, out), probe))
+
+    params = {"x": x, "h0": h0, **{k: v for i, c in enumerate(cells)
+                                   for k, v in c.named(f"c{i}").items()}}
+    report = grad_check(f, params, h=1e-5, tol=1e-6)
+    assert report.passed, report.format()
+
+
 def test_bigru_layer_shape_mismatch():
     rng = np.random.default_rng(19)
     x, mask, (fwd_w, bwd_w) = _layer_inputs(rng, requires_grad=False)
-    ad.bigru_layer(x, mask, fwd_w, bwd_w)
+    gru_layer(x, mask, (fwd_w, bwd_w))
     with pytest.raises(DimensionError):  # input width is not T * d_in
-        ad.bigru_layer(Tensor(np.zeros((3, 13))), mask, fwd_w, bwd_w)
+        gru_layer(Tensor(np.zeros((3, 13))), mask, (fwd_w, bwd_w))
     with pytest.raises(DimensionError):  # mask rows differ from the batch
-        ad.bigru_layer(x, mask[:2], fwd_w, bwd_w)
+        gru_layer(x, mask[:2], (fwd_w, bwd_w))
     with pytest.raises(DimensionError):  # mask is not [B, T]
-        ad.bigru_layer(x, mask.reshape(-1), fwd_w, bwd_w)
+        gru_layer(x, mask.reshape(-1), (fwd_w, bwd_w))
     with pytest.raises(DimensionError):  # backward cell has other units
-        ad.bigru_layer(x, mask, fwd_w, rand_cell(rng, 3, 3, requires_grad=False))
+        gru_layer(x, mask, (fwd_w, rand_cell(rng, 3, 3, requires_grad=False)))
     with pytest.raises(DimensionError):  # backward cell reads another width
-        ad.bigru_layer(x, mask, fwd_w, rand_cell(rng, 4, 2, requires_grad=False))
+        gru_layer(x, mask, (fwd_w, rand_cell(rng, 4, 2, requires_grad=False)))
     bad = rand_cell(rng, 3, 2, requires_grad=False)
     bad.U_h = Tensor(np.zeros((2, 3)))
     with pytest.raises(DimensionError):
-        ad.bigru_layer(x, mask, bad, bwd_w)
+        gru_layer(x, mask, (bad, bwd_w))
+    gru_layer(x, mask, (fwd_w, bwd_w), Tensor(np.zeros((3, 4))))
+    for h0 in (np.zeros((3, 2)), np.zeros((2, 4)), np.zeros(12)):  # h0 is not [B, 2u]
+        with pytest.raises(DimensionError):
+            gru_layer(x, mask, (fwd_w, bwd_w), Tensor(h0))
+    for cells in ([], [fwd_w] * 3):  # neither one cell nor a pair
+        with pytest.raises(DimensionError):
+            gru_layer(x, mask, cells)
 
 
 def test_bigru_layer_without_a_tape_records_nothing():
     rng = np.random.default_rng(23)
     x, mask, (fwd_w, bwd_w) = _layer_inputs(rng)
-    free = ad.bigru_layer(x, mask, fwd_w, bwd_w)
+    free = gru_layer(x, mask, (fwd_w, bwd_w))
     assert not free.requires_grad
     with Tape() as tape:
-        taped = ad.bigru_layer(x, mask, fwd_w, bwd_w)
+        taped = gru_layer(x, mask, (fwd_w, bwd_w))
     assert taped.requires_grad and len(tape.nodes) == 1
     assert np.array_equal(free.data, taped.data)
     frozen = [Tensor(p.data) for p in (x, *fwd_w.named("").values(), *bwd_w.named("").values())]
     with Tape() as tape:
-        out = ad.bigru_layer(frozen[0], mask, GRUCellWeights(*frozen[1:10]),
-                             GRUCellWeights(*frozen[10:]))
+        out = gru_layer(frozen[0], mask, (GRUCellWeights(*frozen[1:10]),
+                                          GRUCellWeights(*frozen[10:])))
     assert not tape.nodes and not out.requires_grad
     assert np.array_equal(out.data, taped.data)
 

@@ -105,6 +105,22 @@ def test_resume_refuses_a_misshapen_optimizer_moment(workspace, tmp_path, capsys
                                                      "loss_log.csv"]
 
 
+@pytest.mark.parametrize("steps", ["2", "0"])
+def test_a_refused_resume_leaves_config_json_alone(workspace, tmp_path, capsys, steps):
+    data, run = workspace / "data", workspace / "run"
+    out = tmp_path / "resumed"
+    out.mkdir()
+    for name in ("checkpoint.bin", "loss_log.csv", "config.json"):
+        (out / name).write_bytes((run / name).read_bytes())
+    code = main(["train", "--corpus", str(data / "corpus.jsonl"),
+                 "--out", str(out), "--checkpoint", str(out / "checkpoint.bin"),
+                 "--steps", steps])
+    assert code == 1
+    assert ("at step 6 of" if steps != "0" else "total_steps") in capsys.readouterr().err
+    for name in ("checkpoint.bin", "loss_log.csv", "config.json"):
+        assert (out / name).read_bytes() == (run / name).read_bytes(), name
+
+
 def test_generate_layout(workspace, tmp_path):
     data, run = workspace / "data", workspace / "run"
     out = tmp_path / "gen"
@@ -304,6 +320,35 @@ def test_missing_files_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 1
     assert "no corpus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--checkpoint", "--config"])
+def test_a_directory_is_no_input_file(workspace, tmp_path, capsys, flag):
+    data, run = workspace / "data", workspace / "run"
+    given = {"--corpus": str(data / "corpus.jsonl"), "--out": str(tmp_path / "o")}
+    command = "generate" if flag == "--checkpoint" else "train"
+    if command == "generate":
+        given["--checkpoint"] = str(run / "checkpoint.bin")
+    given[flag] = str(tmp_path)
+    assert main([command] + [v for kv in given.items() for v in kv]) == 1
+    assert f"no {flag[2:]} file at {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["corpus", "vocab", "config"])
+def test_input_files_that_are_not_utf8_exit_one(workspace, tmp_path, capsys, which):
+    data = workspace / "data"
+    files = {"corpus": tmp_path / "corpus.jsonl", "vocab": tmp_path / "vocab.json",
+             "config": tmp_path / "train.json"}
+    files["corpus"].write_bytes((data / "corpus.jsonl").read_bytes())
+    files["vocab"].write_bytes((data / "vocab.json").read_bytes())
+    files["config"].write_text(json.dumps({"total_steps": 2}))
+    files[which].write_bytes(b"\xff" + files[which].read_bytes())
+    out = tmp_path / "o"
+    code = main(["train", "--corpus", str(files["corpus"]), "--config", str(files["config"]),
+                 "--out", str(out)])
+    assert code == 1
+    assert f"{files[which]}: not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_exits_zero(capsys):

@@ -113,6 +113,23 @@ def test_jsonl_bad_json_names_line(tmp_path):
         load_jsonl(path)
 
 
+def test_jsonl_gold_slot_must_be_an_int_not_a_bool(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"post": ["a"], "responses": [["b"]], "gold_focus_slot": [True]}))
+    with pytest.raises(ParseError, match="gold_focus_slot"):
+        load_jsonl(path)
+
+
+@pytest.mark.parametrize("tokens", [5, ["<pad>", "<unk>", "<eos>", ["a"]],
+                                    ["<pad>", "<unk>", "<eos>", 7]],
+                         ids=["not_a_list", "list_token", "int_token"])
+def test_vocab_file_tokens_must_be_strings(tmp_path, tokens):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps({"tokens": tokens}))
+    with pytest.raises(ParseError, match="'tokens' must be a list of strings"):
+        Vocabulary.load(path)
+
+
 def test_jsonl_empty_response_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps({"post": ["a"], "responses": [[]]}) + "\n")
