@@ -8,15 +8,16 @@ and deposits gradients into the leaf tensors that asked for them.
 
 Only two broadcasting forms exist on the elementwise ops: equal shapes, and
 scalar against tensor.  Row/column broadcasts needed by the model go through
-dedicated primitives (bias_add, scale_rows, repeat_rows, sum_groups) so each
-backward rule stays a couple of lines.
+dedicated primitives (bias_add, scale_rows, repeat_rows) so each backward
+rule stays a couple of lines.
 
 One primitive, `gru_layer`, fuses a GRU recurrence: a bidirectional
-encoder layer with both directions stepping in lockstep, or one decoder
-step.  `masked_mean` pools the encoder states.  Their hand-written
-backward passes reproduce the gradients of the op-by-op composition bit
-for bit.  A `focconstrain` training step records 215 nodes with them,
-against 2,164 op by op.
+encoder layer with both directions stepping in lockstep.  `masked_mean`
+pools the encoder states, and `decoder.decode_train` records a whole
+teacher-forced decode as one node over the same step arithmetic.  Their
+hand-written backward passes reproduce the gradients of the op-by-op
+composition bit for bit.  A `focconstrain` training step records 118 nodes
+with them, against 2,164 op by op.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ def _as_tensor(x) -> Tensor:
 
 @dataclass
 class _Node:
-    """One recorded op.  backward(g) returns one gradient part (or None) per
-    entry of inputs.  An input may be listed more than once, once per part,
-    and the tape adds its parts in listed order."""
+    """One recorded op.  backward(g) returns, or yields, one gradient part
+    (or None) per entry of inputs.  An input may be listed more than once,
+    once per part, and the tape adds its parts in listed order."""
 
     inputs: tuple[Tensor, ...]
     out: Tensor
@@ -125,7 +126,7 @@ class Tape:
             if g is None:
                 continue  # dead branch: output never influenced the root
             owned.discard(id(node.out))
-            for inp, gi in zip(node.inputs, node.backward(g)):
+            for inp, gi in zip(node.inputs, node.backward(g), strict=True):
                 if gi is None:
                     continue
                 key = id(inp)
@@ -331,15 +332,6 @@ def repeat_rows(x: Tensor, k: int) -> Tensor:
     return _record((x,), out, lambda g: (g.reshape(n, k, d).sum(axis=1),))
 
 
-def sum_groups(x: Tensor, k: int) -> Tensor:
-    """[n*k, d] -> [n, d], summing each consecutive group of k rows."""
-    if x.data.ndim != 2 or x.shape[0] % k != 0:
-        raise DimensionError(f"sum_groups: rows of {x.shape} not divisible by {k}")
-    n = x.shape[0] // k
-    out = Tensor(x.data.reshape(n, k, x.shape[1]).sum(axis=1))
-    return _record((x,), out, lambda g: (np.repeat(g, k, axis=0),))
-
-
 def scale_rows(x: Tensor, s: Tensor) -> Tensor:
     """Multiply row i of x[n, d] by scalar s[i]; s is [n] or [n, 1]."""
     s = _as_tensor(s)
@@ -446,6 +438,15 @@ def _rows_and_mask(x: Tensor, mask):
     return rows, m
 
 
+def _masked_softmax(rows: Array, m: Array) -> Array:
+    """Softmax of each row of a 2-d array over the positions where m is
+    True; the other positions come out exactly 0."""
+    shifted = np.where(m, rows, -np.inf)
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    e = np.where(m, np.exp(shifted), 0.0)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def softmax(x: Tensor, mask=None) -> Tensor:
     """Row-wise masked softmax; masked positions come out exactly 0.
 
@@ -455,10 +456,7 @@ def softmax(x: Tensor, mask=None) -> Tensor:
     rows, m = _rows_and_mask(x, mask)
     if not m.any(axis=1).all():
         raise MaskError("softmax: a row has every position masked")
-    shifted = np.where(m, rows, -np.inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.where(m, np.exp(shifted), 0.0)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = _masked_softmax(rows, m)
     out = Tensor(y.reshape(x.shape))
 
     def backward(g: Array):
@@ -595,6 +593,28 @@ def _gate_stacks(cells: Sequence[GRUCellWeights]) -> tuple[Array, Array, Array]:
     return tuple(np.concatenate(a).reshape(3, len(cells), -1, a[0].shape[-1]) for a in arrays)
 
 
+def _gru_weight_grads(x: Array, h: Array, ur: Array, dg: Array) -> tuple[Array, ...]:
+    """One step's weight gradients from its pre-activation gradients dg
+    ([gate u/r/h, cell, B, u]), its [cell, B, d_in] input x and its
+    `_gru_step` values: (W, (U_u, U_r), U_h, b) stacked as dg is."""
+    return (x.transpose(0, 2, 1) @ dg, h.transpose(0, 2, 1) @ dg[:2],
+            (ur[1] * h).transpose(0, 2, 1) @ dg[2], dg.sum(axis=2))
+
+
+def _cell_inputs(cell: GRUCellWeights) -> tuple[Tensor, ...]:
+    """A cell's weights in the order one step of the composition's tape
+    visited them."""
+    return (cell.W_h, cell.U_h, cell.b_h, cell.W_r, cell.U_r, cell.b_r,
+            cell.W_u, cell.U_u, cell.b_u)
+
+
+def _cell_parts(w_grads: tuple[Array, ...], d: int) -> tuple[Array, ...]:
+    """Cell d's part of `_gru_weight_grads`, listed as `_cell_inputs`."""
+    gW, gU, gU_h, gb = w_grads
+    return (gW[2, d], gU_h[d], gb[2, d], gW[1, d], gU[1, d], gb[1, d],
+            gW[0, d], gU[0, d], gb[0, d])
+
+
 def _by_step(a: Array, n: int) -> Array:
     """[position, direction (or 1, shared), ...] to [step, direction, ...]:
     direction 1 reads the positions backwards."""
@@ -621,7 +641,8 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights],
     step gives h'*keep + h*(1-keep), keep being its position's column, so
     PAD positions carry the state through.  h0 is the [B, D*u] initial
     state (None: zeros).  Position t of the [B, T*D*u] output holds each
-    cell's state after reading it.  A decoder step is one cell at T = 1.
+    cell's state after reading it.  The decoder's cells run the same step
+    functions inside `decoder.decode_train`'s node.
 
     The cells step in lockstep on [D, B, u] stacks, with the input
     projections computed before the loop.  Each backward step takes its
@@ -674,8 +695,7 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights],
     n_h = 0 if h0 is None else 4 if m is None else 5
     inputs = (x,) * (3 * n) + (h0,) * n_h
     for cell in cells[::-1]:  # in the order of each step's weight parts below
-        inputs += (cell.W_h, cell.U_h, cell.b_h, cell.W_r, cell.U_r, cell.b_r,
-                   cell.W_u, cell.U_u, cell.b_u) * t
+        inputs += _cell_inputs(cell) * t
     recording = _recording(inputs)
     out = np.empty((b, t, n, units)) if t > 1 else None
     saved = []  # (h, ur, c, 1 - u) of each step, kept only for a backward pass
@@ -706,8 +726,7 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights],
             dg = np.empty((3, n, b, units))  # [gate u/r/h, direction, B, u]
             h_parts = _gru_step_grads(gh, h, ur, c, omu, keep[i], drop[i], U, dg,
                                       i > 0 or h0_rg)
-            w_grads.append((xd[i].transpose(0, 2, 1) @ dg, h.transpose(0, 2, 1) @ dg[:2],
-                            (ur[1] * h).transpose(0, 2, 1) @ dg[2], dg.sum(axis=2)))
+            w_grads.append(_gru_weight_grads(xd[i], h, ur, dg))
             if x_rg:
                 for d, pos in enumerate((i, t - 1 - i)[:n]):
                     np.matmul(dg[:, d], W_T[:, d], out=px[::-1, d, :, pos])
@@ -715,9 +734,8 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights],
                  if x_rg else [None] * (3 * n))
         parts += [_join(p) for p in h_parts] if h0_rg else [None] * n_h
         for d in range(n - 1, -1, -1):
-            for gW, gU, gU_h, gb in w_grads:
-                parts += (gW[2, d], gU_h[d], gb[2, d], gW[1, d], gU[1, d], gb[1, d],
-                          gW[0, d], gU[0, d], gb[0, d])
+            for step_grads in w_grads:
+                parts += _cell_parts(step_grads, d)
         return parts
 
     return _record(inputs, Tensor(out), backward)

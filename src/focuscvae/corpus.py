@@ -179,11 +179,6 @@ def content_for_keyword(keyword: str) -> str:
     return "rc" + keyword[2:]
 
 
-def keyword_positions(post: list[str]) -> list[int]:
-    """All keyword positions, marked or not."""
-    return [i for i, t in enumerate(post) if t.startswith("kw")]
-
-
 def marked_positions(post: list[str]) -> list[int]:
     """Slot keyword positions: keywords directly after a marker, post order."""
     return [i for i, t in enumerate(post)

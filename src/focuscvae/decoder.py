@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GRUCellWeights, Tensor
+from .autodiff import (Array, GRUCellWeights, Tensor, _cell_inputs, _cell_parts, _gate_stacks,
+                       _gru_step, _gru_step_grads, _gru_weight_grads)
 from .corpus import EOS_ID, PAD_ID
 from .encoders import AffineWeights, affine, init_gru_cell
 from .errors import ValidationError
-from .focus import AttentionSetup, alignment_gap, attend_step
+from .focus import AttentionSetup, alignment_gap, attend_grads, attend_step, attention_inputs
 
 
 @dataclass
@@ -56,49 +57,136 @@ def initial_states(conditioning: Tensor, w: DecoderWeights) -> list[Tensor]:
     return [ad.narrow(s, 1, 0, d_h), ad.narrow(s, 1, d_h, d_h)]
 
 
-def _decode_step(setup: AttentionSetup, states: list[Tensor], coverage: Tensor,
-                 t: int, prev: np.ndarray | None, emb_table: Tensor, w: DecoderWeights,
-                 update_mask: np.ndarray) -> tuple[Tensor, Tensor, list[Tensor], Tensor]:
-    """Decode step t (1-based): attend, embed the previous token ids prev (the
-    start input at t = 1), advance both cells, project [state; context].
+def _decode_step(setup: AttentionSetup, stacks: list[tuple[Array, Array, Array]],
+                 W_out: Array, x: Array, states: list[Array], coverage: Array,
+                 update_mask: Array, record: bool
+                 ) -> tuple[Array, Array, list[Array], Array, tuple | None]:
+    """One decode step on arrays, the one definition of its forward
+    arithmetic: attend with the top cell's state, advance both cells on the
+    input rows x, and project [state; context].
 
-    Returns (logits [B, V], alpha [B, T], new states, updated coverage).
+    stacks holds each cell's `_gate_stacks` and states its [1, B, u] state.
+    Returns (logits before the bias, alpha, new states, updated coverage,
+    saved), saved being what the backward of `decode_train` reads if
+    record, else None.
     """
-    alpha, context, coverage = attend_step(setup, states[-1], coverage, update_mask=update_mask)
-    b = setup.post_mask.shape[0]
-    x = ad.repeat_rows(w.start, b) if t == 1 else ad.embedding(emb_table, prev)
-    s0 = ad.gru_layer(x, None, w.cells[:1], states[0])
-    s1 = ad.gru_layer(s0, None, w.cells[1:], states[1])
-    logits = affine(ad.concat([s1, context], axis=1), w.out)
-    return logits, alpha, [s0, s1], coverage
+    alpha, context, coverage, attended = attend_step(setup, states[1][0], coverage, update_mask,
+                                                     record)
+    new_states, cells = [], []
+    for (W, U, b), h in zip(stacks, states):
+        h_new, ur, c, _ = _gru_step(x @ W, h, U, b, None, None)
+        cells.append((x, h, ur, c))
+        new_states.append(h_new)
+        x = h_new[0]
+    rows = np.concatenate([x, context], axis=1)
+    saved = (attended, cells, rows) if record else None
+    return rows @ W_out, alpha, new_states, coverage, saved
+
+
+def _fold(parts: list[Array]) -> Array:
+    """Left-to-right sum of gradient parts, as the tape adds them."""
+    if len(parts) == 1:
+        return parts[0]
+    total = parts[0] + parts[1]
+    for part in parts[2:]:
+        total += part
+    return total
 
 
 def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSetup,
                  emb_table: Tensor, w: DecoderWeights, init: list[Tensor]
                  ) -> tuple[Tensor, Tensor, list[Tensor]]:
-    """Teacher-forced pass over a padded response batch.
+    """Teacher-forced pass over a padded response batch, one tape node.
 
     Returns logits as one [B*T, V] block in (batch, position) row-major
     order, the final coverage (updated only where resp_mask is on, so a
-    row's coverage total equals its true length), and the per-step attention
-    rows.  Logits at step t see gold tokens strictly before t.
+    row's coverage total equals its true length), and the per-step
+    attention rows as tensors without gradient.  Logits at step t see gold
+    tokens strictly before t.
+
+    The node's output holds every step's logits and then the final
+    coverage, [B, T*V + Tx], split by two narrows.  Its forward loops
+    `_decode_step` and keeps only what the backward reads.  The backward
+    walks the steps in reverse and hands the tape each input's gradient
+    parts in the order the tape visited them when every step was composed
+    of tape primitives (attention, embedding lookup, two one-step GRU
+    layers, concat and affine), so gradients match that composition bit
+    for bit.  An all-zero coverage gradient counts as none, as when
+    nothing downstream reads the coverage.
     """
     b, t_max = resp_ids.shape
     if t_max == 0:
         raise ValidationError("decode_train needs at least one response position")
-    states = init
-    coverage = Tensor(np.zeros((b, setup.length)))
-    step_logits: list[Tensor] = []
-    alphas: list[Tensor] = []
-    for t in range(1, t_max + 1):
-        prev = resp_ids[:, t - 2] if t > 1 else None
-        logits, alpha, states, coverage = _decode_step(
-            setup, states, coverage, t, prev, emb_table, w, resp_mask[:, t - 1])
-        step_logits.append(logits)
-        alphas.append(alpha)
-    vocab = step_logits[0].shape[1]
-    logits_flat = ad.reshape(ad.concat(step_logits, axis=1), (b * t_max, vocab))
-    return logits_flat, coverage, alphas
+    vocab, length = w.out.b.shape[0], setup.length
+    d_h = init[1].shape[1]
+    inputs = []
+    for t in range(t_max - 1, -1, -1):
+        inputs += [w.out.b, w.out.W]
+        for cell, h0 in zip(w.cells[::-1], init[::-1]):
+            inputs += [h0] * 4 * (t == 0) + list(_cell_inputs(cell))
+        inputs += [emb_table if t else w.start, *attention_inputs(setup)]
+    inputs.append(init[1])
+    recording = ad._recording(tuple(inputs))
+
+    stacks = [_gate_stacks([cell]) for cell in w.cells]
+    keeps = resp_mask.T.astype(np.float64)[:, :, None]
+    out = np.empty((b, t_max * vocab + length))
+    states = [s.data[None] for s in init]
+    coverage = np.zeros((b, length))
+    x = np.repeat(w.start.data, b, axis=0)
+    saved, alphas = [], []
+    for t in range(t_max):
+        if t:
+            x = emb_table.data[resp_ids[:, t - 1]]
+        logits, alpha, states, coverage, step = _decode_step(
+            setup, stacks, w.out.W.data, x, states, coverage, keeps[t], recording)
+        np.add(logits, w.out.b.data, out=out[:, t * vocab:(t + 1) * vocab])
+        saved.append(step)
+        alphas.append(Tensor(alpha))
+    out[:, t_max * vocab:] = coverage
+
+    def backward(g: Array):
+        stacks = [_gate_stacks([cell]) for cell in w.cells]  # the forward's are not kept
+        g_cov = g[:, t_max * vocab:]
+        g_cov = g_cov if g_cov.any() else None
+        later = [[], []]  # each cell's state gradient parts from the later step
+        for t in range(t_max - 1, -1, -1):
+            attended, cells, rows = saved[t]
+            g_logits = g[:, t * vocab:(t + 1) * vocab]
+            yield g_logits.sum(axis=0) if w.out.b.requires_grad else None
+            yield rows.T @ g_logits if w.out.W.requires_grad else None
+            g_rows = g_logits @ w.out.W.data.T
+            later[1].append(g_rows[:, :d_h])
+            for i in (1, 0):  # the top cell first, as the tape visited them
+                x, h, ur, c = cells[i]
+                W, U, _ = stacks[i]
+                dg = np.empty((3, 1, b, h.shape[2]))  # [gate u/r/h, cell, B, u]
+                h_parts = _gru_step_grads(_fold(later[i])[None], h, ur, c, 1.0 - ur[0], None,
+                                          None, U, dg, t > 0 or init[i].requires_grad)
+                later[i] = [p[0] for p in h_parts]
+                if t == 0:  # the initial state's parts
+                    yield from later[i] or [None] * 4
+                yield from _cell_parts(_gru_weight_grads(x[None], h, ur, dg), 0)
+                g_x = np.empty((3, b, x.shape[1]))  # x's W_h, W_r and W_u parts
+                np.matmul(dg[:, 0], W.transpose(0, 1, 3, 2)[:, 0], out=g_x[::-1])
+                if i:
+                    later[0] += list(g_x)
+            table = emb_table if t else w.start
+            if not table.requires_grad:
+                yield None
+            elif t:
+                part = np.zeros_like(emb_table.data)
+                np.add.at(part, resp_ids[:, t - 1], _fold(list(g_x)))
+                yield part
+            else:
+                yield _fold(list(g_x)).reshape(1, b, -1).sum(axis=1)
+            g_query, g_cov = yield from attend_grads(setup, attended, g_rows[:, d_h:], g_cov, t > 0)
+            later[1].append(g_query)
+        yield g_query if init[1].requires_grad else None
+
+    node = ad._record(tuple(inputs), Tensor(out), backward)
+    logits = ad.reshape(ad.narrow(node, 1, 0, t_max * vocab), (b * t_max, vocab))
+    return logits, ad.narrow(node, 1, t_max * vocab, length), alphas
 
 
 @dataclass
@@ -127,32 +215,33 @@ def greedy_decode(setup: AttentionSetup, emb_table: Tensor, w: DecoderWeights,
     if max_len < 1:
         raise ValidationError(f"max_len must be positive, got {max_len}")
     b = setup.post_mask.shape[0]
-    states = init
-    coverage = Tensor(np.zeros((b, setup.length)))
+    stacks = [_gate_stacks([cell]) for cell in w.cells]
+    states = [s.data[None] for s in init]
+    coverage = np.zeros((b, setup.length))
     active = np.ones(b, dtype=bool)
     emitted = np.full((b, max_len), PAD_ID, dtype=np.int64)
     lengths = np.zeros(b, dtype=np.int64)
-    prev = None
-    for t in range(1, max_len + 1):
-        logits, _, states, coverage = _decode_step(
-            setup, states, coverage, t, prev, emb_table, w, active.astype(np.float64))
-        scores = logits.data.copy()
+    x = np.repeat(w.start.data, b, axis=0)
+    for t in range(max_len):
+        logits, _, states, coverage, _ = _decode_step(
+            setup, stacks, w.out.W.data, x, states, coverage, active.astype(np.float64), False)
+        scores = logits + w.out.b.data
         scores[:, PAD_ID] = -np.inf
         picked = np.argmax(scores, axis=1).astype(np.int64)
         picked = np.where(active, picked, PAD_ID)
-        emitted[:, t - 1] = picked
+        emitted[:, t] = picked
         lengths += active
         active &= picked != EOS_ID
-        prev = picked
         if not active.any():
             break
+        x = emb_table.data[picked]
 
     results = []
     for i in range(b):
         n = int(lengths[i])
         tokens = [int(tok) for tok in emitted[i, :n]]
         mask_row = setup.post_mask[i]
-        cov_row = coverage.data[i][mask_row]
+        cov_row = coverage[i][mask_row]
         if focus_rows is not None:
             focus_row = focus_rows[i][mask_row]
             gap = alignment_gap(cov_row, n, focus_row)

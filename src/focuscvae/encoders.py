@@ -82,10 +82,6 @@ class EncoderOutputs:
     batch: int
     length: int
 
-    def state_rows(self) -> np.ndarray:
-        """States as a [B, T, d_h] array view for diagnostics."""
-        return self.states_flat.data.reshape(self.batch, self.length, -1)
-
 
 def encode(token_ids, mask, emb_table: Tensor, weights: EncoderWeights) -> EncoderOutputs:
     """Run the stacked bidirectional encoder over a padded batch.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Array, Tensor
 from .errors import DimensionError, ValidationError
 
 LOG_FOCUS_FLOOR = 1e-30
@@ -105,30 +105,98 @@ def build_attention(states_flat: Tensor, context_flat: Tensor, post_mask: np.nda
     )
 
 
-def attend_step(setup: AttentionSetup, s_prev: Tensor, coverage: Tensor,
-                update_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    """One attention read; coverage [B, T] is the running sum of the earlier
-    steps' attention weights (zeros before the first step).
+def attend_step(setup: AttentionSetup, s_prev: Array, coverage: Array,
+                update_mask: Array | None = None, record: bool = False
+                ) -> tuple[Array, Array, Array, tuple | None]:
+    """One attention read on arrays, with the query state s_prev [B, d_h];
+    coverage [B, T] is the running sum of the earlier steps' attention
+    weights (zeros before the first step).
 
-    Returns (alpha [B, T], context [B, d_h], updated coverage).  Rows where
+    Returns (alpha [B, T], context, updated coverage, saved), saved being
+    what `attend_grads` reads if record, else None.  Rows where
     update_mask is 0 keep their coverage unchanged, which is how padded or
-    already-finished sequences sit out a batched step.
+    already-finished sequences sit out a batched step.  The arithmetic is
+    that of the composition of tape primitives this replaced, op for op, so
+    the values match it bit for bit.
     """
     b, length = setup.post_mask.shape
-    energy = ad.add(setup.base, ad.repeat_rows(ad.matmul(s_prev, setup.weights.U_a), length))
-    if setup.weights.V_a is not None:
-        summary = ad.sum_groups(
-            ad.scale_rows(setup.states_flat, ad.reshape(coverage, (b * length, 1))), length)
-        energy = ad.add(energy, ad.repeat_rows(ad.matmul(summary, setup.weights.V_a), length))
-    scores = ad.reshape(ad.matmul(ad.tanh(energy), setup.weights.v_a), (b, length))
+    w = setup.weights
+    energy = setup.base.data + np.repeat(s_prev @ w.U_a.data, length, axis=0)
+    summary = None
+    if w.V_a is not None:
+        summary = _sum_groups(setup.states_flat.data * coverage.reshape(-1, 1), length)
+        energy = energy + np.repeat(summary @ w.V_a.data, length, axis=0)
+    energy = np.tanh(energy)
+    scores = (energy @ w.v_a.data).reshape(b, length)
+    if not record:
+        energy = None  # freed before the context is summed
     if setup.log_focus is not None:
-        scores = ad.add(scores, setup.log_focus)
-    alpha = ad.softmax(scores, setup.post_mask)
-    context = ad.sum_groups(
-        ad.scale_rows(setup.context_flat, ad.reshape(alpha, (b * length, 1))), length)
-    increment = alpha if update_mask is None else ad.scale_rows(
-        alpha, Tensor(np.asarray(update_mask, dtype=np.float64).reshape(b, 1)))
-    return alpha, context, ad.add(coverage, increment)
+        scores = scores + setup.log_focus.data
+    alpha = ad._masked_softmax(scores, setup.post_mask)
+    context = _sum_groups(setup.context_flat.data * alpha.reshape(-1, 1), length)
+    keep = None if update_mask is None else np.asarray(update_mask, dtype=np.float64).reshape(b, 1)
+    increment = alpha if keep is None else alpha * keep
+    saved = (s_prev, coverage, keep, alpha, energy, summary) if record else None
+    return alpha, context, coverage + increment, saved
+
+
+def _sum_groups(rows: Array, k: int) -> Array:
+    """[n*k, d] -> [n, d], summing each consecutive group of k rows; also
+    the gradient of rows repeated k times each."""
+    return rows.reshape(-1, k, rows.shape[1]).sum(axis=1)
+
+
+def attention_inputs(setup: AttentionSetup) -> tuple[Tensor, ...]:
+    """The tensors `attend_grads` yields gradient parts for, in its order."""
+    w = setup.weights
+    focus = () if setup.log_focus is None else (setup.log_focus,)
+    coverage = () if w.V_a is None else (w.V_a, setup.states_flat)
+    return (setup.context_flat, *focus, w.v_a, *coverage, setup.base, w.U_a)
+
+
+def attend_grads(setup: AttentionSetup, saved: tuple, g_context: Array,
+                 g_coverage: Array | None, coverage_grad: bool):
+    """Backward of one `attend_step` for the gradients of its context and of
+    its updated coverage (None when none reaches it).
+
+    A generator: it yields one gradient part (None where no gradient is
+    wanted) per tensor of `attention_inputs`, and returns the gradients of
+    s_prev and, if coverage_grad, of the coverage it read (else None).
+    Every part is the array the composition's tape handed on, and the
+    parts come in that tape's order.
+    """
+    b, length = setup.post_mask.shape
+    w = setup.weights
+    s_prev, coverage, keep, alpha, energy, summary = saved
+    g_prev = None  # coverage's gradient: the add node passes it on first
+    if g_coverage is not None:
+        g_prev = g_coverage if coverage_grad else None
+        g_alpha = g_coverage if keep is None else g_coverage * keep
+    g_rows = np.repeat(g_context, length, axis=0)
+    context_flat = setup.context_flat
+    yield g_rows * alpha.reshape(-1, 1) if context_flat.requires_grad else None
+    g_read = (g_rows * context_flat.data).sum(axis=1).reshape(b, length)
+    g_alpha = g_read if g_coverage is None else g_alpha + g_read
+    dot = (g_alpha * alpha).sum(axis=1, keepdims=True)
+    g_scores = alpha * (g_alpha - dot)  # softmax
+    if setup.log_focus is not None:
+        yield g_scores if setup.log_focus.requires_grad else None
+    g_scores = g_scores.reshape(b * length, 1)
+    yield energy.T @ g_scores if w.v_a.requires_grad else None
+    g_energy = (g_scores @ w.v_a.data.T) * (1.0 - energy * energy)  # through tanh
+    if w.V_a is not None:
+        g_summary = _sum_groups(g_energy, length)
+        yield summary.T @ g_summary if w.V_a.requires_grad else None
+        g_rows = np.repeat(g_summary @ w.V_a.data.T, length, axis=0)
+        states = setup.states_flat
+        yield g_rows * coverage.reshape(-1, 1) if states.requires_grad else None
+        if coverage_grad:
+            g_read = (g_rows * states.data).sum(axis=1).reshape(b, length)
+            g_prev = g_read if g_prev is None else g_prev + g_read
+    yield g_energy if setup.base.requires_grad else None
+    g_query = _sum_groups(g_energy, length)
+    yield s_prev.T @ g_query if w.U_a.requires_grad else None
+    return g_query @ w.U_a.data.T, g_prev
 
 
 # ---------------------------------------------------------------------------

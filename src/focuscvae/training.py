@@ -12,6 +12,7 @@ makes checkpoint resume bit-exact.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -217,16 +218,16 @@ class CheckpointState:
     meta: dict
 
 
-def _pack_array_block(arrays: dict[str, np.ndarray]) -> bytes:
-    chunks = [struct.pack("<I", len(arrays))]
+def _array_block(arrays: dict[str, np.ndarray]):
+    """The byte chunks of one array block: the count, then per array its
+    name, rank, shape and little-endian float64 values (a view where the
+    array already is one)."""
+    yield struct.pack("<I", len(arrays))
     for name, arr in arrays.items():
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(chunks)
+        yield struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim,
+                          *arr.shape)
+        yield memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B")
 
 
 class _Reader:
@@ -262,29 +263,32 @@ def _unpack_array_block(r: _Reader) -> dict[str, np.ndarray]:
 def save_checkpoint(path, state: CheckpointState) -> None:
     """Versioned binary layout with a trailing SHA-256 over the payload.
 
-    The bytes go to a temporary file beside `path`, which then replaces
-    `path` in one rename, so a process that dies mid-save leaves the
-    previous checkpoint whole.  Nothing is fsynced: an operating-system
+    The payload is written and hashed chunk by chunk, with no copy of the
+    whole.  The bytes go to a temporary file beside `path`, which then
+    replaces `path` in one rename, so a process that dies mid-save leaves
+    the previous checkpoint whole.  Nothing is fsynced: an operating-system
     crash or power loss can still lose the newest save.
     """
     config_blob = state.config.canonical_json().encode("utf-8")
     meta_blob = json.dumps(state.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = b"".join([
+    header = b"".join([
         CHECKPOINT_MAGIC,
         struct.pack("<I", CHECKPOINT_VERSION),
         struct.pack("<Q", state.step),
         struct.pack("<Q", state.adam_t),
         struct.pack("<I", len(config_blob)), config_blob,
         struct.pack("<I", len(meta_blob)), meta_blob,
-        _pack_array_block(state.params),
-        _pack_array_block(state.adam_m),
-        _pack_array_block(state.adam_v),
     ])
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    blocks = (_array_block(arrays) for arrays in (state.params, state.adam_m, state.adam_v))
+    digest = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
-            fh.write(body + hashlib.sha256(body).digest())
+            for chunk in itertools.chain([header], *blocks):
+                digest.update(chunk)
+                fh.write(chunk)
+            fh.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -317,12 +321,19 @@ def load_checkpoint(path) -> CheckpointState:
     return CheckpointState(config, step, params, adam_m, adam_v, adam_t, meta)
 
 
+def _live_state(model: FocusCVAE, adam: Adam, step: int, meta: dict) -> CheckpointState:
+    """The state at `step` over the model's and optimizer's own arrays, for
+    a save that finishes before they change."""
+    params = {k: p.data for k, p in model.named_parameters().items()}
+    return CheckpointState(model.cfg, step, params, adam.m, adam.v, adam.t, meta)
+
+
 def checkpoint_from(model: FocusCVAE, adam: Adam, step: int, meta: dict) -> CheckpointState:
-    params = {k: p.data.copy() for k, p in model.named_parameters().items()}
-    return CheckpointState(model.cfg, step, params,
-                           {k: v.copy() for k, v in adam.m.items()},
-                           {k: v.copy() for k, v in adam.v.items()},
-                           adam.t, dict(meta))
+    """A copy of the state at `step` that later training leaves alone."""
+    live = _live_state(model, adam, step, meta)
+    copy = lambda arrays: {k: v.copy() for k, v in arrays.items()}
+    return CheckpointState(model.cfg, step, copy(live.params), copy(live.adam_m),
+                           copy(live.adam_v), adam.t, dict(meta))
 
 
 def restore_model(state: CheckpointState) -> tuple[FocusCVAE, Adam]:
@@ -470,6 +481,7 @@ def train(cfg: TrainConfig, pairs: list[PostResponsePair], out_dir=None,
                     raise NumericalError(
                         f"non-finite {term} at step {step}; last checkpoint kept")
             tape.backward(total)
+            del tape  # the step's activations go before clip, Adam and the save
             clip_gradients(params, GRAD_CLIP_NORM)
             adam.step(lr)
 
@@ -479,14 +491,14 @@ def train(cfg: TrainConfig, pairs: list[PostResponsePair], out_dir=None,
                 log_fh.write(row + "\n")
 
             done = step + 1
-            if done % cfg.checkpoint_interval == 0 or done == cfg.total_steps:
-                final_state = checkpoint_from(model, adam, done, meta)
-                if ckpt_path is not None:
-                    log_fh.flush()  # the log holds every step the checkpoint does
-                    save_checkpoint(ckpt_path, final_state)
+            if ckpt_path is not None and (done % cfg.checkpoint_interval == 0
+                                          or done == cfg.total_steps):
+                log_fh.flush()  # the log holds every step the checkpoint does
+                save_checkpoint(ckpt_path, _live_state(model, adam, done, meta))
     finally:
         if log_fh is not None:
             log_fh.close()
+    final_state = checkpoint_from(model, adam, cfg.total_steps, meta)
     return TrainResult(model, adam, rows, final_state, log_path, ckpt_path)
 
 

@@ -9,10 +9,15 @@ from focuscvae import corpus
 from focuscvae.corpus import (
     EOS_ID, PAD_ID, UNK_ID, Batch, GrammarConfig, PostRecord, Vocabulary,
     collate, content_for_keyword, generate_synthetic, grammar_vocabulary,
-    keyword_positions, load_jsonl, marked_positions, save_jsonl,
+    load_jsonl, marked_positions, save_jsonl,
     split_records, to_pairs,
 )
 from focuscvae.errors import ConfigError, ParseError, ValidationError
+
+
+def keyword_positions(post: list[str]) -> list[int]:
+    """All keyword positions, marked or not."""
+    return [i for i, t in enumerate(post) if t.startswith("kw")]
 
 
 def test_vocab_special_ids_pinned():

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
+from focuscvae import autodiff as ad
+from focuscvae import model as model_module
+from focuscvae.autodiff import Tape, Tensor, grad_check
 from focuscvae.config import TrainConfig
 from focuscvae.corpus import EOS_ID, PAD_ID, Batch, PostResponsePair, collate
+from focuscvae.decoder import decode_train, greedy_decode, init_decoder_weights
 from focuscvae.errors import ValidationError
 from focuscvae.evaluation import generate_samples
+from focuscvae.focus import AttentionWeights, alignment_gap, build_attention
 from focuscvae.model import FocusCVAE
+from focuscvae.training import micro_batch, total_loss
+from reference import reference_decode_train, reference_greedy_decode
 
 
 def micro_cfg(variant="focconstrain", **over):
@@ -214,3 +221,166 @@ class TestVariantParameterSets:
         arrays["decoder.start"] = np.zeros((2, 2))
         with pytest.raises(Exception):
             FocusCVAE.from_arrays(model.cfg, arrays)
+
+
+# the decode node against the per-step composition it replaced
+
+def ragged_batch(rng, resp_lengths, post_lengths=(3, 2, 4), vocab=7):
+    pairs = []
+    for n, p in zip(resp_lengths, post_lengths):
+        resp = np.concatenate([rng.integers(3, vocab, size=n - 1), [EOS_ID]])
+        pairs.append(PostResponsePair(rng.integers(3, vocab, size=p), resp.astype(np.int64)))
+    return collate(pairs)
+
+
+def train_step(model, batch, eps):
+    """Loss, logits, coverage and attention rows of one taped step, every
+    parameter gradient after its backward, and the tape's node count."""
+    model.zero_grad()
+    with Tape() as tape:
+        fp = model.forward_train(batch, eps)
+        total, _ = total_loss(model, batch, eps, 0.7)
+    tape.backward(total)
+    values = [total.data, fp.logits_flat.data, fp.coverage.data] + [a.data for a in fp.alphas]
+    return values, {k: p.grad for k, p in model.named_parameters().items()}, len(tape.nodes)
+
+
+RESPONSES = {"ragged": (1, 3, 4), "one_step": (1, 1, 1)}
+
+
+@pytest.mark.parametrize("responses", list(RESPONSES))
+@pytest.mark.parametrize("variant", ["s2s", "foc", "foccoverage", "focconstrain"])
+def test_decode_node_is_bit_identical_to_the_composition(monkeypatch, variant, responses):
+    model = micro_model(variant, init_scale=0.6)
+    batch = ragged_batch(np.random.default_rng(31), RESPONSES[responses])
+    eps = np.random.default_rng(32).standard_normal((batch.size, model.cfg.d_z))
+    eps = eps if variant != "s2s" else None
+    values, grads, nodes = train_step(model, batch, eps)
+    monkeypatch.setattr(model_module, "decode_train", reference_decode_train)
+    ref_values, ref_grads, ref_nodes = train_step(model, batch, eps)
+    assert nodes < ref_nodes
+    assert len(values) == len(ref_values)
+    for a, b in zip(values, ref_values):
+        assert a.tobytes() == b.tobytes()
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        # with one-token responses the bag-of-words loss has no terms
+        if g is None:
+            assert ref_grads[name] is None and name.startswith("bow."), name
+            continue
+        assert g.tobytes() == ref_grads[name].tobytes(), name
+
+
+def decode_case(rng, coverage, focus, t_max, init_grad, b=3, length=4, d_h=4, d_emb=3,
+                vocab=6):
+    """Leaf inputs of one decode: a setup built from leaf states and focus,
+    an embedding table, decoder weights and two initial states."""
+    leaf = lambda *shape, grad=True: Tensor(rng.uniform(-0.8, 0.8, size=shape),
+                                            requires_grad=grad)
+    mask = np.ones((b, length), dtype=bool)
+    mask[1, 2:] = False
+    mask[2, 1] = False
+    states = leaf(b * length, d_h)
+    context = leaf(b * length, d_h + 2)
+    focus_leaf = leaf(b, length) if focus else None
+    aw = AttentionWeights(W_a=leaf(d_h, d_h), U_a=leaf(d_h, d_h), v_a=leaf(d_h, 1),
+                          V_a=leaf(d_h, d_h) if coverage else None)
+    emb = leaf(vocab, d_emb)
+    dec = init_decoder_weights(rng, d_emb, d_h, 2, d_h + 2, vocab, 0.8)
+    init = [leaf(b, d_h, grad=init_grad), leaf(b, d_h, grad=init_grad)]
+    resp_ids = rng.integers(0, vocab, size=(b, t_max))
+    resp_mask = np.arange(t_max)[None, :] < np.array([t_max, 1, max(1, t_max - 1)])[:, None]
+    probe = Tensor(rng.normal(size=(b, d_h)))
+    leaves = {"states": states, "context": context, "emb": emb, "init0": init[0],
+              "init1": init[1], **aw.named("att"),
+              **{k: v for k, v in dec.named("dec").items() if not k.startswith("dec.init.")}}
+    if focus:
+        leaves["focus"] = focus_leaf
+
+    def loss(decode):
+        focus_t = None if focus_leaf is None else ad.softmax(focus_leaf, mask)
+        setup = build_attention(states, context, mask, aw, focus=focus_t)
+        logits, cov, alphas = decode(resp_ids, resp_mask, setup, emb, dec, init)
+        total = ad.add(ad.sum_all(ad.mul(logits, ad.tanh(logits))),
+                       ad.sum_all(ad.mul(cov, cov)))
+        # consumers recorded after the decode, so parts arrive on both sides
+        total = ad.add(total, ad.sum_all(ad.mul(ad.tanh(states), states)))
+        total = ad.add(total, ad.sum_all(ad.mul(init[1], probe)))
+        total = ad.add(total, ad.sum_all(ad.tanh(emb)))
+        return total, [logits.data, cov.data] + [a.data for a in alphas]
+
+    return loss, leaves
+
+
+def run_decode(loss, leaves, decode):
+    for p in leaves.values():
+        p.zero_grad()
+    with Tape() as tape:
+        total, values = loss(decode)
+    tape.backward(total)
+    return [total.data] + values, {k: p.grad for k, p in leaves.items()}
+
+
+@pytest.mark.parametrize("t_max", [1, 3])
+@pytest.mark.parametrize("init_grad", [True, False], ids=["init_grad", "init_frozen"])
+@pytest.mark.parametrize("coverage,focus", [(False, False), (False, True), (True, True)],
+                         ids=["s2s", "foc", "coverage"])
+def test_decode_node_matches_the_composition_with_leaf_inputs(coverage, focus, init_grad, t_max):
+    loss, leaves = decode_case(np.random.default_rng(41), coverage, focus, t_max, init_grad)
+    values, grads = run_decode(loss, leaves, decode_train)
+    ref_values, ref_grads = run_decode(loss, leaves, reference_decode_train)
+    for a, b in zip(values, ref_values, strict=True):
+        assert a.tobytes() == b.tobytes()
+    for name, g in grads.items():
+        if name.startswith("init") and not init_grad:
+            assert g is None and ref_grads[name] is None
+            continue
+        assert g is not None and g.tobytes() == ref_grads[name].tobytes(), name
+
+
+def test_decode_node_gradients_match_finite_differences():
+    loss, leaves = decode_case(np.random.default_rng(43), True, True, 3, True, length=3,
+                               d_h=2, d_emb=2, vocab=4)
+    # the loss is about 29, so rounding, not truncation, sets the
+    # error: 1.6e-6 at h = 1e-5 and 2.1e-7 at h = 1e-4
+    report = grad_check(lambda: loss(decode_train)[0], leaves, h=1e-4, tol=1e-6)
+    assert report.passed, report.format()
+
+
+@pytest.mark.parametrize("variant", ["s2s", "foc", "foccoverage", "focconstrain"])
+def test_greedy_decode_matches_the_composition(monkeypatch, variant):
+    model = micro_model(variant, init_scale=0.9)
+    rng = np.random.default_rng(51)
+    ids = rng.integers(3, 7, size=(3, 5))
+    mask = np.ones_like(ids, dtype=bool)
+    mask[1, 3:] = False
+    rows = np.array([0, 0, 1, 2, 2, 2])
+    eps = rng.standard_normal((len(rows), 4)) if variant != "s2s" else None
+    refs = []
+
+    def both(setup, emb, w, init, max_len, focus_rows):
+        refs.append(reference_greedy_decode(setup, emb, w, init, max_len) + (focus_rows,))
+        return greedy_decode(setup, emb, w, init, max_len, focus_rows)
+
+    monkeypatch.setattr(model_module, "greedy_decode", both)
+    results = model.generate_rows(ids, mask, rows, eps, 7)
+    emitted, lengths, coverage, focus_rows = refs[0]
+    for i, r in enumerate(results):
+        n = int(lengths[i])
+        assert r.token_ids == emitted[i, :n].tolist()
+        real = mask[rows[i]]
+        assert r.coverage.tobytes() == coverage[i][real].tobytes()
+        if focus_rows is None:
+            assert r.alignment_gap is None
+        else:
+            assert r.alignment_gap == alignment_gap(coverage[i][real], n, focus_rows[i][real])
+
+
+def test_a_desk_step_records_at_most_120_nodes():
+    cfg = TrainConfig(variant="focconstrain", vocab_size=64, d_h=64, d_z=32, batch_size=32)
+    model = FocusCVAE(cfg, np.random.default_rng(0))
+    batch = micro_batch(64, post_len=14, resp_len=4, batch_size=32, seed=0)
+    eps = np.random.default_rng(1).standard_normal((32, 32))
+    with Tape() as tape:
+        total_loss(model, batch, eps, 0.5)
+    assert len(tape.nodes) <= 120

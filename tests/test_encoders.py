@@ -12,6 +12,11 @@ from focuscvae.encoders import (
 from focuscvae.errors import DimensionError, ValidationError
 
 
+def state_rows(out):
+    """An encoding's states as a [B, T, d_h] array view."""
+    return out.states_flat.data.reshape(out.batch, out.length, -1)
+
+
 def make_embedding(rng, vocab, d, scale=0.5):
     return Tensor(rng.uniform(-scale, scale, size=(vocab, d)), requires_grad=True)
 
@@ -25,7 +30,7 @@ def test_encode_shapes_and_pooling_excludes_pad():
     out = encode(ids, mask, emb, weights)
     assert out.states_flat.shape == (8, 6)
     assert out.pooled.shape == (2, 6)
-    states = out.state_rows()
+    states = state_rows(out)
     np.testing.assert_allclose(out.pooled.data[0], states[0, :3].mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(out.pooled.data[1], states[1, :2].mean(axis=0), atol=1e-12)
 
@@ -38,7 +43,7 @@ def test_encode_padding_is_inert():
     short = encode(np.array([[3, 4, 5]]), np.array([[True] * 3]), emb, weights)
     long = encode(np.array([[3, 4, 5, 0, 0]]), np.array([[True, True, True, False, False]]),
                   emb, weights)
-    np.testing.assert_allclose(long.state_rows()[0, :3], short.state_rows()[0], atol=1e-12)
+    np.testing.assert_allclose(state_rows(long)[0, :3], state_rows(short)[0], atol=1e-12)
     np.testing.assert_allclose(long.pooled.data, short.pooled.data, atol=1e-12)
 
 
@@ -49,10 +54,10 @@ def test_encode_direction_dependencies():
     weights = init_encoder_weights(rng, 4, 6, n_layers=1, scale=0.3)
     ids = np.array([[3, 4, 5, 6]])
     mask = np.ones_like(ids, dtype=bool)
-    base = encode(ids, mask, emb, weights).state_rows()[0]
+    base = state_rows(encode(ids, mask, emb, weights))[0]
     bumped_ids = ids.copy()
     bumped_ids[0, 2] = 7
-    bumped = encode(bumped_ids, mask, emb, weights).state_rows()[0]
+    bumped = state_rows(encode(bumped_ids, mask, emb, weights))[0]
     half = 3
     assert np.allclose(bumped[:2, :half], base[:2, :half], atol=1e-12)   # fwd before the edit
     assert not np.allclose(bumped[2:, :half], base[2:, :half])           # fwd at/after
@@ -68,7 +73,7 @@ def test_palindrome_ties_directions():
     weights = init_encoder_weights(rng, 4, 6, n_layers=1)
     weights.layers[0] = (cell, cell)
     ids = np.array([[3, 4, 3]])
-    out = encode(ids, np.ones_like(ids, dtype=bool), emb, weights).state_rows()[0]
+    out = state_rows(encode(ids, np.ones_like(ids, dtype=bool), emb, weights))[0]
     fwd, bwd = out[:, :3], out[:, 3:]
     np.testing.assert_allclose(bwd, fwd[::-1], atol=1e-12)
 

@@ -7,6 +7,7 @@ import pytest
 
 from focuscvae import autodiff as ad
 from focuscvae.autodiff import Tensor, grad_check
+from focuscvae.decoder import decode_train, init_decoder_weights
 from focuscvae.errors import DimensionError, MaskError, ValidationError
 from focuscvae.focus import (
     AttentionWeights, FocusWeights, alignment_gap, attend_step, build_attention,
@@ -67,12 +68,12 @@ def run_attention_steps(rng, n_steps, b=2, t=4, d_h=6, seed_states=None, update_
     focus = Tensor(np.random.default_rng(99).dirichlet(np.ones(t), size=b))
     w = make_attention_weights(rng, d_h, d_h)
     setup = build_attention(states, states, np.ones((b, t), dtype=bool), w, focus=focus)
-    cov = Tensor(np.zeros((b, t)))
+    cov = np.zeros((b, t))
     alphas, contexts = [], []
     for step in range(n_steps):
-        s_prev = Tensor(rng.normal(size=(b, d_h)))
+        s_prev = rng.normal(size=(b, d_h))
         um = None if update_masks is None else update_masks[step]
-        alpha, context, cov = attend_step(setup, s_prev, cov, update_mask=um)
+        alpha, context, cov, _ = attend_step(setup, s_prev, cov, update_mask=um)
         alphas.append(alpha)
         contexts.append(context)
     return alphas, contexts, cov, setup
@@ -82,7 +83,7 @@ def test_attention_rows_are_distributions():
     rng = np.random.default_rng(4)
     alphas, _, _, _ = run_attention_steps(rng, 3)
     for a in alphas:
-        np.testing.assert_allclose(a.data.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_coverage_accumulates_and_is_monotone():
@@ -90,14 +91,14 @@ def test_coverage_accumulates_and_is_monotone():
     n_steps = 5
     alphas, _, cov, _ = run_attention_steps(rng, n_steps)
     # brute-force re-accumulation of the per-step weights
-    expected = np.zeros_like(cov.data)
-    prev = np.zeros_like(cov.data)
+    expected = np.zeros_like(cov)
+    prev = np.zeros_like(cov)
     for a in alphas:
-        expected += a.data
+        expected += a
         assert (expected - prev >= -1e-15).all()  # entrywise monotone
         prev = expected.copy()
-    np.testing.assert_allclose(cov.data, expected, atol=1e-12)
-    np.testing.assert_allclose(cov.data.sum(axis=1), float(n_steps), atol=1e-6)
+    np.testing.assert_allclose(cov, expected, atol=1e-12)
+    np.testing.assert_allclose(cov.sum(axis=1), float(n_steps), atol=1e-6)
 
 
 def test_coverage_term_gates_by_variant():
@@ -107,19 +108,19 @@ def test_coverage_term_gates_by_variant():
     states = random_states(rng, b, t, d_h)
     focus = Tensor(np.random.default_rng(1).dirichlet(np.ones(t), size=b))
     mask = np.ones((b, t), dtype=bool)
-    s_prev = Tensor(rng.normal(size=(b, d_h)))
+    s_prev = rng.normal(size=(b, d_h))
 
     for sensitive in (False, True):
         w = make_attention_weights(np.random.default_rng(8), d_h, d_h, coverage=sensitive)
         setup = build_attention(states, states, mask, w, focus=focus)
-        fresh = Tensor(np.zeros((b, t)))
-        loaded = Tensor(np.full((b, t), 0.25))
-        a1, _, _ = attend_step(setup, s_prev, fresh)
-        a2, _, _ = attend_step(setup, s_prev, loaded)
+        fresh = np.zeros((b, t))
+        loaded = np.full((b, t), 0.25)
+        a1 = attend_step(setup, s_prev, fresh)[0]
+        a2 = attend_step(setup, s_prev, loaded)[0]
         if sensitive:
-            assert not np.allclose(a1.data, a2.data)
+            assert not np.allclose(a1, a2)
         else:
-            np.testing.assert_array_equal(a1.data, a2.data)
+            np.testing.assert_array_equal(a1, a2)
 
 
 def test_uniform_focus_leaves_attention_as_without_focus():
@@ -130,16 +131,16 @@ def test_uniform_focus_leaves_attention_as_without_focus():
     mask[1, 3] = False
     states = random_states(rng, b, t, d_h)
     uniform = Tensor(mask / mask.sum(axis=1, keepdims=True))
-    s_prevs = [Tensor(rng.normal(size=(b, d_h))) for _ in range(3)]
+    s_prevs = [rng.normal(size=(b, d_h)) for _ in range(3)]
     for coverage in (False, True):
         w = make_attention_weights(np.random.default_rng(15), d_h, d_h, coverage=coverage)
         runs = []
         for focus in (uniform, None):
             setup = build_attention(states, states, mask, w, focus=focus)
-            cov, alphas = Tensor(np.zeros((b, t))), []
+            cov, alphas = np.zeros((b, t)), []
             for s_prev in s_prevs:
-                alpha, _, cov = attend_step(setup, s_prev, cov)
-                alphas.append(alpha.data)
+                alpha, _, cov, _ = attend_step(setup, s_prev, cov)
+                alphas.append(alpha)
             runs.append(alphas)
         for with_focus, without in zip(*runs):
             np.testing.assert_allclose(with_focus, without, rtol=0, atol=1e-12)
@@ -151,8 +152,8 @@ def test_context_is_attention_weighted_sum_of_original_states():
     states = random_states(rng, b, t, d_h)
     alphas, contexts, _, _ = run_attention_steps(rng, 1, b=b, t=t, d_h=d_h,
                                                  seed_states=states)
-    manual = np.einsum("bt,btd->bd", alphas[0].data, states.data.reshape(b, t, d_h))
-    np.testing.assert_allclose(contexts[0].data, manual, atol=1e-12)
+    manual = np.einsum("bt,btd->bd", alphas[0], states.data.reshape(b, t, d_h))
+    np.testing.assert_allclose(contexts[0], manual, atol=1e-12)
     assert contexts[0].shape == (b, d_h)
 
 
@@ -160,8 +161,8 @@ def test_update_mask_freezes_rows():
     rng = np.random.default_rng(12)
     masks = [np.array([1.0, 1.0]), np.array([1.0, 0.0]), np.array([1.0, 0.0])]
     _, _, cov, _ = run_attention_steps(rng, 3, update_masks=masks)
-    np.testing.assert_allclose(cov.data[0].sum(), 3.0, atol=1e-9)
-    np.testing.assert_allclose(cov.data[1].sum(), 1.0, atol=1e-9)
+    np.testing.assert_allclose(cov[0].sum(), 3.0, atol=1e-9)
+    np.testing.assert_allclose(cov[1].sum(), 1.0, atol=1e-9)
 
 
 def test_focus_prior_sets_attention_when_step_scores_are_flat():
@@ -176,10 +177,9 @@ def test_focus_prior_sets_attention_when_step_scores_are_flat():
     w = make_attention_weights(rng, d_h, d_h, coverage=True)
     w.v_a = Tensor(np.zeros((d_h, 1)))
     setup = build_attention(states, states, mask, w, focus=focus)
-    alpha, _, _ = attend_step(setup, Tensor(rng.normal(size=(b, d_h))),
-                              Tensor(np.zeros((b, t))))
-    np.testing.assert_allclose(alpha.data, focus.data, atol=1e-12)
-    assert (alpha.data[~mask] == 0.0).all()
+    alpha = attend_step(setup, rng.normal(size=(b, d_h)), np.zeros((b, t)))[0]
+    np.testing.assert_allclose(alpha, focus.data, atol=1e-12)
+    assert (alpha[~mask] == 0.0).all()
 
 
 def _check_focus_attention_gradients(focus_prior: bool):
@@ -192,18 +192,21 @@ def _check_focus_attention_gradients(focus_prior: bool):
     fw = make_focus_weights(rng, d_h, d_z, d_h, grad=True)
     aw = make_attention_weights(rng, d_h, d_h, coverage=True, grad=True)
     s_prev = Tensor(rng.normal(size=(b, d_h)), requires_grad=True)
+    # two decode steps read the attention: s_prev is the top cell's start
+    # state, and the logits read each step's context
+    vocab, d_emb = 5, 2
+    emb = Tensor(rng.uniform(-0.5, 0.5, size=(vocab, d_emb)))
+    dec = init_decoder_weights(rng, d_emb, d_h, d_h, d_h, vocab, 0.5)
+    h0 = Tensor(rng.normal(size=(b, d_h)))
+    resp_ids = rng.integers(0, vocab, size=(b, 2))
 
     def f():
         # the focus reaches the attention only as its prior
         focus = focus_generate(states, mask, z, fw) if focus_prior else None
         setup = build_attention(states, states, mask, aw, focus=focus)
-        cov = Tensor(np.zeros((b, t)))
-        total = None
-        for _ in range(2):
-            alpha, context, cov = attend_step(setup, s_prev, cov)
-            term = ad.add(ad.sum_all(ad.mul(context, context)), ad.sum_all(ad.mul(alpha, alpha)))
-            total = term if total is None else ad.add(total, term)
-        return ad.add(total, ad.sum_all(ad.mul(cov, cov)))
+        logits, cov, _ = decode_train(resp_ids, np.ones((b, 2), dtype=bool), setup, emb, dec,
+                                      [h0, s_prev])
+        return ad.add(ad.sum_all(ad.mul(logits, logits)), ad.sum_all(ad.mul(cov, cov)))
 
     params = {"states": states, "s_prev": s_prev, **aw.named("att")}
     if focus_prior:

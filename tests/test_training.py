@@ -1,6 +1,9 @@
 """Loss terms, schedules, the optimizer, checkpoints, and the loop."""
 
+import hashlib
+import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +280,37 @@ class TestClipping:
         np.testing.assert_array_equal(a.grad, [6.0, 8.0])
 
 
+def _joined_array_block(arrays):
+    chunks = [struct.pack("<I", len(arrays))]
+    for name, arr in arrays.items():
+        encoded = name.encode("utf-8")
+        chunks.append(struct.pack("<H", len(encoded)))
+        chunks.append(encoded)
+        chunks.append(struct.pack("<B", arr.ndim))
+        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
+        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return b"".join(chunks)
+
+
+def joined_checkpoint(state):
+    """A checkpoint file's bytes built as one joined body plus its digest,
+    the reference for the streamed save."""
+    config_blob = state.config.canonical_json().encode("utf-8")
+    meta_blob = json.dumps(state.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = b"".join([
+        tr.CHECKPOINT_MAGIC,
+        struct.pack("<I", tr.CHECKPOINT_VERSION),
+        struct.pack("<Q", state.step),
+        struct.pack("<Q", state.adam_t),
+        struct.pack("<I", len(config_blob)), config_blob,
+        struct.pack("<I", len(meta_blob)), meta_blob,
+        _joined_array_block(state.params),
+        _joined_array_block(state.adam_m),
+        _joined_array_block(state.adam_v),
+    ])
+    return body + hashlib.sha256(body).digest()
+
+
 class TestCheckpoint:
     def state(self, tmp_path, cfg=None):
         cfg = cfg or micro_cfg()
@@ -303,6 +337,18 @@ class TestCheckpoint:
         tr.save_checkpoint(b, tr.load_checkpoint(a))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_streamed_save_writes_the_joined_layout(self, tmp_path):
+        st = self.state(tmp_path)
+        model = FocusCVAE(st.config, np.random.default_rng(2))
+        st.adam_m = {k: p.data * -0.5 for k, p in model.named_parameters().items()}
+        # arrays that need converting: a transposed view, float32, 0-d
+        st.params["extra.view"] = np.arange(6.0).reshape(2, 3).T
+        st.adam_v["extra.f32"] = np.linspace(-1, 1, 5, dtype=np.float32)
+        st.adam_v["extra.scalar"] = np.array(2.5)
+        path = tmp_path / "c.bin"
+        tr.save_checkpoint(path, st)
+        assert path.read_bytes() == joined_checkpoint(st)
+
     def test_corruption_is_detected(self, tmp_path):
         st = self.state(tmp_path)
         path = tmp_path / "c.bin"
@@ -326,7 +372,6 @@ class TestCheckpoint:
 
         blob[4:8] = (99).to_bytes(4, "little")
         body = bytes(blob[:-32])
-        import hashlib
         (tmp_path / "v99.bin").write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(VersionError):
             tr.load_checkpoint(tmp_path / "v99.bin")
