@@ -114,18 +114,28 @@ class Tape:
         the rule also handed elsewhere or a view; the second is added into a
         fresh array that the tape owns, and later parts go into that one in
         place.
+
+        The pass consumes the tape: each node leaves `nodes` as it is
+        visited, and with it its output and whatever its rule kept, once no
+        other node or caller holds them.  The gradient of an intermediate
+        tensor goes when its producer has run, so at the end only leaves'
+        gradients are held; `nodes` is empty when this returns.
         """
         if root.size != 1:
             raise DimensionError(f"backward root must be scalar, got shape {root.shape}")
         grads: dict[int, Array] = {id(root): np.ones_like(root.data)}
         holders: dict[int, Tensor] = {id(root): root}
         owned: set[int] = set()  # keys whose gradient is an array of the tape's own
-        produced = {id(node.out) for node in self.nodes}
-        for node in reversed(self.nodes):
-            g = grads.pop(id(node.out), None)
+        # a produced tensor receives every gradient part before its producer
+        # is visited, so what is left in grads at the end belongs to leaves
+        while self.nodes:
+            node = self.nodes.pop()
+            out_key = id(node.out)
+            g = grads.pop(out_key, None)
+            holders.pop(out_key, None)
             if g is None:
                 continue  # dead branch: output never influenced the root
-            owned.discard(id(node.out))
+            owned.discard(out_key)
             for inp, gi in zip(node.inputs, node.backward(g), strict=True):
                 if gi is None:
                     continue
@@ -140,7 +150,7 @@ class Tape:
                     holders[key] = inp
         for key, g in grads.items():
             t = holders[key]
-            if t.requires_grad and key not in produced:
+            if t.requires_grad:
                 t.grad = g if t.grad is None else t.grad + g
 
 
@@ -231,7 +241,10 @@ def sqrt(x: Tensor) -> Tensor:
         raise DomainError("sqrt: input has negative entries")
     out = Tensor(np.sqrt(x.data))
     y = out.data
-    return _record((x,), out, lambda g: (g * 0.5 / y,))
+    # 0 where the output is exactly 0, the subgradient that keeps a norm's
+    # gradient finite when its vector is all zeros
+    return _record((x,), out,
+                   lambda g: (np.divide(g * 0.5, y, out=np.zeros_like(y), where=y != 0.0),))
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -621,6 +634,11 @@ def _by_step(a: Array, n: int) -> Array:
     return a if n == 1 else np.stack([a[:, 0], a[::-1, -1]], axis=1)
 
 
+def _x_by_step(x: Tensor, b: int, t: int, d_in: int, n: int) -> Array:
+    """x's [B, T*d_in] rows as [step, direction (or 1, shared), B, d_in]."""
+    return _by_step(x.data.reshape(b, t, d_in).transpose(1, 0, 2)[:, None], n)
+
+
 def _join(a: Array) -> Array:
     """[D, B, u] states as [B, D*u] rows, a view for one direction."""
     return a[0] if len(a) == 1 else np.concatenate(a, axis=1)
@@ -650,6 +668,12 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights],
     in place, one matmul per cell.  One cell reads x through a view, and at
     T = 1 the state is the output: extra temporaries made glibc give heap
     pages back and fault them in again on every call.
+
+    Per step the node keeps only the gates u, r and the candidate c.  Its
+    backward rebuilds, once per call, what else it reads: 1 - u, the state
+    before each step from the node's own output, x by step from x, and the
+    gate stacks from the cells' weights.  Each rebuilt array has the layout
+    the forward's had, so every matmul rounds as it did there.
 
     Outputs and gradients are bit-identical to the op-by-op composition
     (matmul, add, bias_add, sigmoid, tanh, mul, neg, scale_rows, concat):
@@ -685,12 +709,11 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights],
 
     # [gate u/r/h, direction, ...]
     W, U, bias = _gate_stacks(cells)
-    # [step, direction, ...]
-    xd = _by_step(x.data.reshape(b, t, d_in).transpose(1, 0, 2)[:, None], n)
-    xw = xd[:, None] @ W  # [step, gate, direction, B, u]
+    xw = _x_by_step(x, b, t, d_in, n)[:, None] @ W  # [step, gate, direction, B, u]
     keep = [None] * t if m is None else _by_step(m.T.astype(np.float64)[:, None, :, None], n)
     drop = keep if m is None else 1.0 - keep
-    h = np.zeros((n, b, units)) if h0 is None else h0.data.reshape(b, n, units).transpose(1, 0, 2)
+    h_first = (np.zeros((n, b, units)) if h0 is None
+               else h0.data.reshape(b, n, units).transpose(1, 0, 2))
 
     n_h = 0 if h0 is None else 4 if m is None else 5
     inputs = (x,) * (3 * n) + (h0,) * n_h
@@ -698,20 +721,29 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights],
         inputs += _cell_inputs(cell) * t
     recording = _recording(inputs)
     out = np.empty((b, t, n, units)) if t > 1 else None
-    saved = []  # (h, ur, c, 1 - u) of each step, kept only for a backward pass
+    saved = []  # (ur, c) of each step, kept only for a backward pass
+    h = h_first
     for i in range(t):
-        h_new, ur, c, omu = _gru_step(xw[i], h, U, bias, keep[i], drop[i])
+        h, ur, c, _ = _gru_step(xw[i], h, U, bias, keep[i], drop[i])
         if recording:
-            saved.append((h, ur, c, omu))
+            saved.append((ur, c))
         if out is not None:
             for d, pos in enumerate((i, t - 1 - i)[:n]):
-                out[:, pos, d] = h_new[d]
-        h = h_new
+                out[:, pos, d] = h[d]
     out = _join(h) if out is None else out.reshape(b, t * n * units)
     x_rg, h0_rg = x.requires_grad, h0 is not None and h0.requires_grad
 
     def backward(g: Array):
         g4 = g.reshape(b, t, n, units)
+        xd = _x_by_step(x, b, t, d_in, n)
+        # the state before step i > 0 is step i - 1's output, laid out as
+        # `_gru_step` returned it: [step - 1, direction, B, u]
+        out4 = out.reshape(b, t, n, units)
+        before = np.empty((t - 1, n, b, units))
+        before[:, 0] = out4[:, :t - 1, 0].transpose(1, 0, 2)
+        if n == 2:
+            before[:, 1] = out4[:, t - 1:0:-1, 1].transpose(1, 0, 2)
+        W, U, _ = _gate_stacks(cells)  # the forward's are not kept
         W_T = W.transpose(0, 1, 3, 2)
         px = np.empty((3, n, b, t, d_in)) if x_rg else None  # [gate h/r/u, direction, B, T, d_in]
         w_grads, h_parts = [], []  # w_grads from the last step to the first
@@ -722,9 +754,10 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights],
             gh = gh if i == t - 1 else gh + h_parts[0]
             for part in h_parts[1:]:
                 gh += part
-            h, ur, c, omu = saved[i]
+            ur, c = saved[i]
+            h = before[i - 1] if i else h_first
             dg = np.empty((3, n, b, units))  # [gate u/r/h, direction, B, u]
-            h_parts = _gru_step_grads(gh, h, ur, c, omu, keep[i], drop[i], U, dg,
+            h_parts = _gru_step_grads(gh, h, ur, c, 1.0 - ur[0], keep[i], drop[i], U, dg,
                                       i > 0 or h0_rg)
             w_grads.append(_gru_weight_grads(xd[i], h, ur, dg))
             if x_rg:

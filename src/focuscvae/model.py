@@ -113,7 +113,16 @@ class FocusCVAE:
 
     @classmethod
     def from_arrays(cls, cfg: TrainConfig, arrays: dict[str, np.ndarray]) -> "FocusCVAE":
-        """Rebuild a model and overwrite its parameters from named arrays."""
+        """Rebuild a model whose parameters are the given named arrays.
+
+        The model adopts each array itself, copying only one that is not an
+        aligned, writable, C-ordered float64 array, so the caller's arrays
+        and the model's parameters are one set of buffers.  Training
+        replaces a parameter's array at every step and never writes into it
+        (`training.Adam.step`, `training.clip_gradients`), so the caller's
+        arrays keep their values.  An optimizer that updated in place would
+        have to copy here.
+        """
         model = cls(cfg, np.random.default_rng(0))
         params = model.named_parameters()
         missing = sorted(set(params) - set(arrays))
@@ -124,7 +133,7 @@ class FocusCVAE:
             if p.data.shape != arrays[name].shape:
                 raise DimensionError(
                     f"{name}: stored shape {arrays[name].shape} vs model shape {p.data.shape}")
-            p.data = np.asarray(arrays[name], dtype=np.float64).copy()
+            p.data = np.require(arrays[name], np.float64, "CAW")
         return model
 
     # -- forward pieces -----------------------------------------------------

@@ -231,32 +231,42 @@ def _array_block(arrays: dict[str, np.ndarray]):
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    """Reads a checkpoint body in place, through a memoryview of the file
+    bytes."""
+
+    def __init__(self, view: memoryview):
+        self.view = view
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+    def skip(self, n: int) -> int:
+        """Step over n bytes; returns the offset they start at."""
+        if self.pos + n > len(self.view):
             raise IntegrityError("checkpoint truncated")
-        out = self.blob[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
+
+    def text(self, n: int) -> str:
+        start = self.skip(n)
+        return str(self.view[start:self.pos], "utf-8")
 
     def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        return struct.unpack_from(fmt, self.view, self.skip(struct.calcsize(fmt)))
 
 
 def _unpack_array_block(r: _Reader) -> dict[str, np.ndarray]:
+    """Each array as one aligned, writable float64 copy of its bytes, never
+    a view into them: an unaligned operand takes numpy's matmul off BLAS,
+    which rounds differently."""
     (count,) = r.unpack("<I")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.text(name_len)
         (rank,) = r.unpack("<B")
         shape = r.unpack(f"<{rank}I") if rank else ()
         n = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(r.take(8 * n), dtype="<f8").reshape(shape).astype(np.float64)
-        out[name] = data
+        values = np.frombuffer(r.view, dtype="<f8", count=n, offset=r.skip(8 * n))
+        out[name] = values.astype(np.float64).reshape(shape)
     return out
 
 
@@ -296,23 +306,25 @@ def save_checkpoint(path, state: CheckpointState) -> None:
 
 
 def load_checkpoint(path) -> CheckpointState:
+    """Read and verify a checkpoint.  The file's bytes are read once and
+    parsed in place; the arrays are the only copies made of them."""
     blob = Path(path).read_bytes()
     if len(blob) < 4 + 4 + 32 or blob[:4] != CHECKPOINT_MAGIC:
         raise IntegrityError(f"{path}: not a checkpoint file")
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    body = memoryview(blob)[:-32]
+    if hashlib.sha256(body).digest() != blob[-32:]:
         raise IntegrityError(f"{path}: checksum mismatch, file is corrupt")
     r = _Reader(body)
-    r.take(4)  # magic
+    r.skip(4)  # magic
     (version,) = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise VersionError(f"{path}: format version {version}, expected {CHECKPOINT_VERSION}")
     (step,) = r.unpack("<Q")
     (adam_t,) = r.unpack("<Q")
     (config_len,) = r.unpack("<I")
-    config = TrainConfig.from_json(r.take(config_len).decode("utf-8"))
+    config = TrainConfig.from_json(r.text(config_len))
     (meta_len,) = r.unpack("<I")
-    meta = json.loads(r.take(meta_len).decode("utf-8"))
+    meta = json.loads(r.text(meta_len))
     params = _unpack_array_block(r)
     adam_m = _unpack_array_block(r)
     adam_v = _unpack_array_block(r)
@@ -322,10 +334,12 @@ def load_checkpoint(path) -> CheckpointState:
 
 
 def _live_state(model: FocusCVAE, adam: Adam, step: int, meta: dict) -> CheckpointState:
-    """The state at `step` over the model's and optimizer's own arrays, for
-    a save that finishes before they change."""
+    """The state at `step` over the model's and optimizer's own arrays, in
+    dicts of its own.  Training replaces those arrays and never writes
+    into them, so the state keeps its values while the model trains on."""
     params = {k: p.data for k, p in model.named_parameters().items()}
-    return CheckpointState(model.cfg, step, params, adam.m, adam.v, adam.t, meta)
+    return CheckpointState(model.cfg, step, params, dict(adam.m), dict(adam.v), adam.t,
+                           dict(meta))
 
 
 def checkpoint_from(model: FocusCVAE, adam: Adam, step: int, meta: dict) -> CheckpointState:
@@ -333,10 +347,14 @@ def checkpoint_from(model: FocusCVAE, adam: Adam, step: int, meta: dict) -> Chec
     live = _live_state(model, adam, step, meta)
     copy = lambda arrays: {k: v.copy() for k, v in arrays.items()}
     return CheckpointState(model.cfg, step, copy(live.params), copy(live.adam_m),
-                           copy(live.adam_v), adam.t, dict(meta))
+                           copy(live.adam_v), adam.t, live.meta)
 
 
 def restore_model(state: CheckpointState) -> tuple[FocusCVAE, Adam]:
+    """The model and optimizer a state describes, adopting its arrays as
+    `FocusCVAE.from_arrays` does, moments included: the state and the
+    restored pair share buffers, which training replaces and never writes
+    into.  An optimizer that updated in place would have to copy here."""
     model = FocusCVAE.from_arrays(state.config, state.params)
     adam = Adam(model.named_parameters())
     names = set(adam.m)
@@ -347,8 +365,8 @@ def restore_model(state: CheckpointState) -> tuple[FocusCVAE, Adam]:
             if moments[name].shape != p.shape:
                 raise IntegrityError(f"{name}: optimizer moment of shape {moments[name].shape}"
                                      f" for a parameter of shape {p.shape}")
-    adam.m = {k: state.adam_m[k].copy() for k in adam.m}
-    adam.v = {k: state.adam_v[k].copy() for k in adam.v}
+    adam.m = {k: state.adam_m[k] for k in adam.m}
+    adam.v = {k: state.adam_v[k] for k in adam.v}
     adam.t = state.adam_t
     return model, adam
 
@@ -390,6 +408,11 @@ def _latent_eps(cfg: TrainConfig, step: int, batch_size: int) -> np.ndarray | No
 
 @dataclass
 class TrainResult:
+    """What a `train` call ends with.  final_state shares its arrays with
+    model and adam rather than copying them: further steps replace those
+    arrays and never write into them, so the state stays as it was.  An
+    optimizer that updated in place would have to copy here."""
+
     model: FocusCVAE
     adam: Adam
     rows: list[str]              # CSV rows for the steps this call ran
@@ -498,7 +521,7 @@ def train(cfg: TrainConfig, pairs: list[PostResponsePair], out_dir=None,
     finally:
         if log_fh is not None:
             log_fh.close()
-    final_state = checkpoint_from(model, adam, cfg.total_steps, meta)
+    final_state = _live_state(model, adam, cfg.total_steps, meta)
     return TrainResult(model, adam, rows, final_state, log_path, ckpt_path)
 
 

@@ -1,5 +1,7 @@
 """Autodiff engine: op semantics, backward rules, gradient checking."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,41 @@ def test_reused_tensor_accumulates_grad():
         loss = scalar_loss(ad.add(ad.mul(x, x), x))  # x^2 + x
     tape.backward(loss)
     assert x.grad[0] == pytest.approx(5.0, abs=1e-12)
+
+
+def test_backward_consumes_the_tape_and_frees_what_only_it_held():
+    x = Tensor(np.arange(1.0, 5.0), requires_grad=True)
+    seen = []
+
+    def scale_by_three():
+        factor = np.full(4, 3.0)  # held by the rule alone
+
+        def rule(g):
+            seen.append(mid_ref())  # the values of a tensor whose producer has run
+            return (g * factor,)
+
+        return Tensor(x.data * factor), rule, weakref.ref(factor)
+
+    with Tape() as tape:
+        out, rule, factor_ref = scale_by_three()
+        first = ad._record((x,), out, rule)
+        mid = ad.tanh(first)
+        mid_ref = weakref.ref(mid.data)
+        loss = ad.sum_all(ad.mul(mid, mid))
+    del out, rule, first, mid
+    assert len(tape.nodes) == 4 and factor_ref() is not None and mid_ref() is not None
+    tape.backward(loss)
+    assert tape.nodes == [] and seen == [None] and factor_ref() is None
+    y = np.tanh(3.0 * x.data)
+    np.testing.assert_allclose(x.grad, 6.0 * y * (1.0 - y * y), rtol=1e-12)
+
+
+def test_sqrt_gradient_is_zero_where_its_output_is_zero():
+    x = Tensor(np.array([0.0, 4.0, 0.25]), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.sqrt(x))
+    tape.backward(loss)
+    assert x.grad.tolist() == [0.0, 0.25, 1.0]
 
 
 def test_backward_folds_parts_in_listed_order_and_never_writes_into_them():
@@ -357,10 +394,11 @@ def _two_directions(cell, keeps):
             loss = ad.add(loss, ad.sum_all(ad.mul(x, x)))
         for h in states:
             loss = ad.add(loss, ad.sum_all(ad.mul(h, probe)))
+    n_nodes = len(tape.nodes)
     tape.backward(loss)
     named = {"h0": h0, **{f"x{i}": leaf for i, leaf in enumerate(leaves)},
              **fwd_w.named("fwd"), **bwd_w.named("bwd")}
-    return [s.data for s in states], {k: t.grad for k, t in named.items()}, len(tape.nodes)
+    return [s.data for s in states], {k: t.grad for k, t in named.items()}, n_nodes
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["decoder", "encoder"])

@@ -240,9 +240,10 @@ def train_step(model, batch, eps):
     with Tape() as tape:
         fp = model.forward_train(batch, eps)
         total, _ = total_loss(model, batch, eps, 0.7)
+    n_nodes = len(tape.nodes)
     tape.backward(total)
     values = [total.data, fp.logits_flat.data, fp.coverage.data] + [a.data for a in fp.alphas]
-    return values, {k: p.grad for k, p in model.named_parameters().items()}, len(tape.nodes)
+    return values, {k: p.grad for k, p in model.named_parameters().items()}, n_nodes
 
 
 RESPONSES = {"ragged": (1, 3, 4), "one_step": (1, 1, 1)}

@@ -268,11 +268,13 @@ class TestClipping:
 
     def test_nan_gradient_behind_a_finite_loss_raises_before_scaling(self):
         a = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        x = Tensor(np.array([0.0]), requires_grad=True)
+        x = Tensor(np.array([1e-320]), requires_grad=True)
         with Tape() as tape:
-            # sqrt'(0) is infinite, and times x = 0 it is NaN; the loss is 25
-            loss = ad.add(ad.sum_all(ad.mul(a, a)), ad.sum_all(ad.sqrt(ad.mul(x, x))))
-        with np.errstate(divide="ignore", invalid="ignore"):
+            # log'(x) = 1/x overflows to infinity at this x, and the two logs'
+            # parts, +inf and -inf, add to NaN; the loss is 25
+            logs = ad.add(ad.sum_all(ad.log(x)), ad.neg(ad.sum_all(ad.log(x))))
+            loss = ad.add(ad.sum_all(ad.mul(a, a)), logs)
+        with np.errstate(over="ignore", invalid="ignore"):
             tape.backward(loss)
         assert math.isfinite(loss.item()) and np.isnan(x.grad).all()
         with pytest.raises(NumericalError, match="for x"):
@@ -531,8 +533,10 @@ class TestTrainLoop:
         def nan_gradient(model, batch, eps, gamma):
             total, breakdown = real(model, batch, eps, gamma)
             p = model.named_parameters()["decoder.out.b"]
-            # adds sqrt(0) = 0 to the loss, and NaN to the gradient of p
-            return ad.add(total, ad.sum_all(ad.sqrt(ad.mul(p, 0.0)))), breakdown
+            # adds a finite log(1e-320) to the loss, and NaN to the gradient
+            # of p: log' overflows to infinity there, and inf * 0 is NaN
+            tiny = ad.add(ad.mul(p, 0.0), 1e-320)
+            return ad.add(total, ad.sum_all(ad.log(tiny))), breakdown
 
         monkeypatch.setattr(tr, "total_loss", nan_gradient)
         steps = []
@@ -540,7 +544,7 @@ class TestTrainLoop:
         longer = micro_cfg(vocab_size=len(vocab), d_h=8, d_z=4, batch_size=4,
                            total_steps=8, checkpoint_interval=4)
         with pytest.raises(NumericalError, match="decoder.out.b"), \
-                np.errstate(divide="ignore", invalid="ignore"):
+                np.errstate(over="ignore", invalid="ignore"):
             tr.train(longer, pairs, out_dir=tmp_path, resume=st)
         assert steps == [] and (tmp_path / "checkpoint.bin").read_bytes() == saved
 
@@ -604,3 +608,84 @@ class TestMicroGradcheck:
         rep = tr.micro_gradcheck("s2s", seed=1)
         assert rep.passed and rep.max_rel_err < 1e-4
         assert "pass" in rep.format().lower()
+
+
+class TestOneTokenPost:
+    def test_focconstrain_trains_on_a_one_token_post(self):
+        # a one-token post has focus 1.0 and every attention row 1.0, so its
+        # row of the focus loss is the norm of an all-zero vector
+        pairs = [PostResponsePair(np.array([5]), np.array([4, 6, EOS_ID])),
+                 PostResponsePair(np.array([3, 4, 5]), np.array([6, EOS_ID]))]
+        cfg = micro_cfg(vocab_size=7, total_steps=1)
+        res = tr.train(cfg, pairs, out_dir=None)
+        assert all(math.isfinite(float(v)) for v in res.rows[0].split(","))
+        for p in res.model.named_parameters().values():
+            assert np.isfinite(p.data).all()
+
+
+class TestSharedState:
+    """train, restore_model and from_arrays share arrays instead of copying
+    them; training replaces arrays and never writes into them."""
+
+    @staticmethod
+    def snapshot(state):
+        return {(kind, k): v.tobytes() for kind in ("params", "adam_m", "adam_v")
+                for k, v in getattr(state, kind).items()}
+
+    def test_resume_leaves_the_state_it_reads_unchanged(self, tmp_path):
+        pairs, vocab = tiny_corpus()
+        cfg = micro_cfg(vocab_size=len(vocab), d_h=8, d_z=4, batch_size=4, total_steps=3)
+        first = tr.train(cfg, pairs, out_dir=tmp_path)
+        for state in (first.final_state, tr.load_checkpoint(tmp_path / "checkpoint.bin")):
+            before = self.snapshot(state)
+            longer = micro_cfg(vocab_size=len(vocab), d_h=8, d_z=4, batch_size=4, total_steps=6)
+            tr.train(longer, pairs, out_dir=None, resume=state)
+            assert self.snapshot(state) == before
+
+    def test_final_state_survives_another_optimizer_step(self):
+        pairs, vocab = tiny_corpus()
+        cfg = micro_cfg(vocab_size=len(vocab), d_h=8, d_z=4, batch_size=4, total_steps=3)
+        res = tr.train(cfg, pairs, out_dir=None)
+        before = self.snapshot(res.final_state)
+        for p in res.model.named_parameters().values():
+            p.grad = np.ones_like(p.data)
+        res.adam.step(0.1)
+        assert self.snapshot(res.final_state) == before
+        assert res.final_state.adam_t == 3
+
+    def test_loaded_arrays_are_aligned_writable_float64_copies(self, tmp_path):
+        model = FocusCVAE(micro_cfg(), np.random.default_rng(1))
+        path = tmp_path / "c.bin"
+        tr.save_checkpoint(path, tr.checkpoint_from(model, tr.Adam(model.named_parameters()),
+                                                    step=0, meta={}))
+        st = tr.load_checkpoint(path)
+        for arrays in (st.params, st.adam_m, st.adam_v):
+            for name, a in arrays.items():
+                owner = a if a.base is None else a.base
+                assert a.dtype == np.float64, name
+                assert a.flags.aligned and a.flags.c_contiguous and a.flags.writeable, name
+                assert isinstance(owner, np.ndarray) and owner.flags.owndata, name
+
+
+class TestMemoryBudget:
+    def test_a_desk_step_stays_within_its_memory_budget(self):
+        """tracemalloc bytes of one desk-shaped focconstrain step: what the
+        tape holds after the forward pass, and the peak through backward."""
+        import tracemalloc
+        cfg = TrainConfig(variant="focconstrain", vocab_size=64, d_h=64, d_z=32, batch_size=32)
+        model = FocusCVAE(cfg, np.random.default_rng(0))
+        batch = tr.micro_batch(64, post_len=14, resp_len=4, batch_size=32, seed=0)
+        eps = np.random.default_rng(1).standard_normal((32, 32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                total, _ = tr.total_loss(model, batch, eps, 0.5)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            tape.backward(total)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 7.5e6, f"the tape holds {held / 1e6:.2f} MB after the forward pass"
+        assert peak <= 11e6, f"backward peaks at {peak / 1e6:.2f} MB"
