@@ -236,16 +236,11 @@ def greedy_decode(setup: AttentionSetup, emb_table: Tensor, w: DecoderWeights,
             break
         x = emb_table.data[picked]
 
+    gaps = [None] * b if focus_rows is None else alignment_gap(
+        coverage, lengths, focus_rows, setup.post_mask).tolist()
     results = []
-    for i in range(b):
-        n = int(lengths[i])
-        tokens = [int(tok) for tok in emitted[i, :n]]
-        mask_row = setup.post_mask[i]
-        cov_row = coverage[i][mask_row]
-        if focus_rows is not None:
-            focus_row = focus_rows[i][mask_row]
-            gap = alignment_gap(cov_row, n, focus_row)
-        else:
-            focus_row, gap = None, None
-        results.append(GenerationResult(tokens, focus_row, cov_row, gap))
+    for i, (row, n, gap) in enumerate(zip(emitted.tolist(), lengths.tolist(), gaps)):
+        real = setup.post_mask[i]
+        focus_row = None if focus_rows is None else focus_rows[i][real]
+        results.append(GenerationResult(row[:n], focus_row, coverage[i][real], gap))
     return results

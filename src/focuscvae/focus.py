@@ -13,7 +13,6 @@ how far its coverage, divided by its length, ended from its focus.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,20 +202,32 @@ def attend_grads(setup: AttentionSetup, saved: tuple, g_context: Array,
 # alignment diagnostic (plain numpy; nothing here needs gradients)
 
 
-def alignment_gap(coverage: np.ndarray, resp_len: int, focus: np.ndarray) -> float:
-    """L2 norm of coverage/resp_len - focus: accumulated attention, normalized
-    by decode length, against the focus.
+def alignment_gap(coverage: np.ndarray, resp_len, focus: np.ndarray,
+                  mask: np.ndarray | None = None):
+    """L2 norm over the last axis of coverage/resp_len - focus: accumulated
+    attention, normalized by decode length, against the focus.
 
-    The squared differences are summed left to right in position order, so
-    the gap equals a token-by-token recount bitwise.
+    coverage and focus are [T] or rows [B, T], resp_len an int or one per
+    row; positions where mask is False add an exact +0.0.  The squared
+    differences are summed left to right in position order (np.sum would
+    add in pairwise blocks of eight), so each gap equals a token-by-token
+    recount bitwise.  Returns a float for one row, else an array of B.
     """
     coverage = np.asarray(coverage, dtype=np.float64)
     focus = np.asarray(focus, dtype=np.float64)
-    if coverage.shape != focus.shape:
-        raise DimensionError(f"coverage {coverage.shape} vs focus {focus.shape}")
-    if resp_len < 1:
+    resp_len = np.asarray(resp_len, dtype=np.float64)
+    if coverage.shape != focus.shape or (mask is not None and np.shape(mask) != focus.shape):
+        raise DimensionError(f"coverage {coverage.shape} vs focus {focus.shape}"
+                             f" vs mask {None if mask is None else np.shape(mask)}")
+    if resp_len.shape not in ((), coverage.shape[:-1]):
+        raise DimensionError(f"resp_len {resp_len.shape} for coverage rows {coverage.shape[:-1]}")
+    if np.any(resp_len < 1):
         raise ValidationError(f"resp_len must be positive, got {resp_len}")
-    total = 0.0
-    for d in coverage / float(resp_len) - focus:  # np.sum would add in pairwise blocks of eight
-        total += d * d
-    return math.sqrt(total)
+    diff = coverage / resp_len[..., None] - focus
+    squares = diff * diff
+    if mask is not None:
+        squares = np.where(mask, squares, 0.0)
+    total = np.zeros(coverage.shape[:-1])
+    for column in np.moveaxis(squares, -1, 0):
+        total += column
+    return np.sqrt(total)

@@ -5,7 +5,13 @@ The attention read and the decode step below are the per-step compositions
 that `decoder.decode_train` records as one node and that `greedy_decode`
 runs on arrays; `reference_decode_train` and `reference_greedy_decode`
 loop them as the decoder did.
+
+The Counter-based n-gram scores at the end are the straight-line oracle for
+the array scorers of `focuscvae.evaluation`.
 """
+
+import math
+from collections import Counter
 
 import numpy as np
 
@@ -97,3 +103,71 @@ def reference_greedy_decode(setup, emb_table, w, init, max_len):
         if not active.any():
             break
     return emitted, lengths, coverage.data
+
+
+# ---------------------------------------------------------------------------
+# n-gram scores: one Counter per sequence and order
+
+
+def ngram_counts(seq, n: int) -> Counter:
+    return Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
+
+
+def count_groups(groups, max_n: int):
+    """Every sequence as (length, [its n-gram Counter for n = 1..max_n])."""
+    return [[(len(s), [ngram_counts(s, n) for n in range(1, max_n + 1)]) for s in g]
+            for g in groups]
+
+
+def multi_bleu(hyps_per_post, refs_per_post, max_n: int) -> float:
+    """Corpus BLEU-max_n: counts clipped against the per-post reference
+    maximum, closest-reference brevity penalty, no smoothing."""
+    clipped = [0] * max_n
+    total = [0] * max_n
+    hyp_len = 0
+    ref_len = 0
+    for hyps, refs in zip(hyps_per_post, refs_per_post):
+        ref_caps = [Counter() for _ in range(max_n)]
+        for _, by_n in refs:
+            for n in range(max_n):
+                for g, c in by_n[n].items():
+                    if c > ref_caps[n][g]:
+                        ref_caps[n][g] = c
+        for length, by_n in hyps:
+            hyp_len += length
+            # closest reference length; ties resolved toward the shorter
+            ref_len += min((abs(r - length), r) for r, _ in refs)[1]
+            for n in range(max_n):
+                counts = by_n[n]
+                total[n] += sum(counts.values())
+                clipped[n] += sum(min(c, ref_caps[n][g]) for g, c in counts.items())
+
+    if hyp_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(max_n):
+        if total[n] == 0 or clipped[n] == 0:
+            return 0.0
+        log_sum += math.log(clipped[n] / total[n])
+    brevity = math.exp(min(0.0, 1.0 - ref_len / hyp_len))
+    return brevity * math.exp(log_sum / max_n)
+
+
+def _distinct_ratio(counted, n: int):
+    """Distinct / total n-grams over the pooled sequences; None if no n-grams."""
+    pooled = Counter()
+    for _, by_n in counted:
+        pooled.update(by_n[n - 1])
+    total = sum(pooled.values())
+    return len(pooled) / total if total else None
+
+
+def intra_dist(groups, n: int):
+    """Mean per-group distinct ratio over the groups that have n-grams."""
+    ratios = [r for g in groups if (r := _distinct_ratio(g, n)) is not None]
+    return float(np.mean(ratios)) if ratios else None
+
+
+def inter_dist(groups, n: int):
+    """Distinct ratio over all groups pooled together."""
+    return _distinct_ratio((c for g in groups for c in g), n)

@@ -25,6 +25,9 @@ from focuscvae.corpus import (EOS_ID, GrammarConfig, PostResponsePair,
 from focuscvae.encoders import GaussianParams, kl_divergence
 from focuscvae.model import FocusCVAE
 
+# `pytest -m "not desk"` runs everything else in seconds
+pytestmark = pytest.mark.desk
+
 VARIANT_CYCLE = ("s2s", "foc", "foccoverage", "focconstrain")
 
 # Shared recipe for the trained-model criteria. The corpus pins (seed 7,
@@ -220,9 +223,10 @@ def test_criterion_6_diversity_ordering(desk):
 
 
 def scored(metric, *groups_then_n):
-    """metric over groups of raw sequences, each group list counted up to n."""
+    """metric over groups of raw sequences, the group lists counted together
+    up to n, so that hypotheses and references share their n-gram ids."""
     *groups, n = groups_then_n
-    return metric(*(ev.count_groups(g, n) for g in groups), n)
+    return metric(*ev.count_groups(groups, n), n)
 
 
 def test_criterion_7_metric_oracles():

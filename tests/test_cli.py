@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from focuscvae.cli import main
-from focuscvae.corpus import (GrammarConfig, Vocabulary, generate_synthetic, load_jsonl,
+from focuscvae.corpus import (EOS_ID, GrammarConfig, Vocabulary, generate_synthetic, load_jsonl,
                               save_jsonl, split_records)
 from focuscvae.evaluation import generate_samples
 from focuscvae.training import load_checkpoint, restore_model, save_checkpoint
@@ -155,6 +155,24 @@ def test_eval_prints_canonical_report(workspace, tmp_path, capsys):
     report = json.loads(printed)
     assert report["n_samples"] == 2 and 0.0 <= report["bleu_1"] <= 1.0
     assert (out / "samples.csv").exists()
+
+
+def test_eval_without_ngrams_still_writes_its_report(workspace, tmp_path, capsys):
+    data, run = workspace / "data", workspace / "run"
+    state = load_checkpoint(run / "checkpoint.bin")
+    state.params["decoder.out.b"][EOS_ID] = 100.0  # every sample is EOS alone
+    save_checkpoint(tmp_path / "eos.bin", state)
+    out = tmp_path / "ev"
+    code = main(["eval", "--checkpoint", str(tmp_path / "eos.bin"),
+                 "--corpus", str(data / "test.jsonl"), "--out", str(out),
+                 "--n-samples", "2", "--seed", "5"])
+    assert code == 0, capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["mean_length"] == 0.0
+    assert report["bleu_1"] == report["bleu_2"] == 0.0
+    for name in ("intra_dist_1", "intra_dist_2", "inter_dist_1", "inter_dist_2"):
+        assert report[name] is None
+    assert report["mean_alignment_gap"] is not None
 
 
 @pytest.fixture(scope="module")

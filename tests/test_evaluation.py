@@ -14,13 +14,16 @@ from focuscvae.corpus import PAD_ID, generate_synthetic, split_records, to_pairs
 from focuscvae.errors import CompatibilityError, ValidationError
 from focuscvae.model import FocusCVAE
 
+import reference
+
 SQRT_THIRD = 0.5773502691896258
 
 
 def scored(metric, *groups_then_n):
-    """metric over groups of raw sequences, each group list counted up to n."""
+    """metric over groups of raw sequences, the group lists counted together
+    up to n, so that hypotheses and references share their n-gram ids."""
     *groups, n = groups_then_n
-    return metric(*(ev.count_groups(g, n) for g in groups), n)
+    return metric(*ev.count_groups(groups, n), n)
 
 
 def naive_bleu(hyps_per_post, refs_per_post, max_n):
@@ -150,6 +153,67 @@ class TestDistinct:
                     float(np.mean(per_group)), abs=1e-12)
 
 
+def random_groups(rng, alphabet, n_groups, min_len):
+    """n_groups groups of 0-3 sequences (1-3 if min_len) of min_len to 6 tokens."""
+    draw = lambda: tuple(alphabet[k] for k in rng.integers(0, len(alphabet),
+                                                           size=rng.integers(min_len, 7)))
+    return [[draw() for _ in range(int(rng.integers(1 if min_len else 0, 4)))]
+            for _ in range(n_groups)]
+
+
+class TestCounterOracle:
+    """The array scores against the Counter-based originals in reference.py."""
+
+    @pytest.mark.parametrize("alphabet", [(0, 1, 2, 5, 10**12), ("a", "b", "kw1", "kw10", "c")],
+                             ids=["int", "str"])
+    def test_all_six_scores_equal_the_oracle_on_random_cases(self, alphabet):
+        rng = np.random.default_rng(31)
+        for case in range(150):
+            n_posts = int(rng.integers(1, 6))
+            # every post has a reference; a post may have no hypothesis, and a
+            # hypothesis no tokens
+            refs = random_groups(rng, alphabet, n_posts, 1)
+            hyps = random_groups(rng, alphabet, n_posts, 0)
+            if case % 10 == 0:
+                hyps = [[()] * len(g) for g in hyps]
+            for max_n in (1, 2, 3):
+                hyp_counts, ref_counts = ev.count_groups([hyps, refs], max_n)
+                want_h = reference.count_groups(hyps, max_n)
+                want_r = reference.count_groups(refs, max_n)
+                for n in range(1, max_n + 1):
+                    assert ev.multi_bleu(hyp_counts, ref_counts, n) == reference.multi_bleu(
+                        want_h, want_r, n), (hyps, refs, n)
+                    assert ev.intra_dist(hyp_counts, n) == reference.intra_dist(want_h, n)
+                    assert ev.inter_dist(hyp_counts, n) == reference.inter_dist(want_h, n)
+
+    def test_a_tiny_world_report_equals_the_oracle(self, tiny_world):
+        model, vocab, test = tiny_world
+        rep = ev.evaluate(model, vocab, test, n_samples=3, seed=5, max_len=8)
+        hyps = reference.count_groups(
+            [[s.token_ids for s in rep.samples if s.post_id == i] for i in range(len(test))], 2)
+        refs = reference.count_groups(
+            [[vocab.encode(resp).tolist() for resp in r.responses] for r in test], 2)
+        for n in (1, 2):
+            assert rep.metrics[f"bleu_{n}"] == reference.multi_bleu(hyps, refs, n)
+            assert rep.metrics[f"intra_dist_{n}"] == reference.intra_dist(hyps, n)
+            assert rep.metrics[f"inter_dist_{n}"] == reference.inter_dist(hyps, n)
+
+    def test_no_ngrams_of_an_order_scores_none(self):
+        hyps, refs = ev.count_groups([[[(4,)], [()]], [[(4, 5)], [(6,)]]], 2)
+        assert ev.inter_dist(hyps, 1) == ev.intra_dist(hyps, 1) == 1.0
+        assert ev.inter_dist(hyps, 2) is None and ev.intra_dist(hyps, 2) is None
+        assert ev.multi_bleu(hyps, refs, 2) == 0.0
+
+    def test_scores_refuse_separately_counted_lists_and_uncounted_orders(self):
+        (hyps,), (refs,) = ev.count_groups([[[(1,)]]], 1), ev.count_groups([[[(1,)]]], 1)
+        with pytest.raises(ValidationError):
+            ev.multi_bleu(hyps, refs, 1)
+        with pytest.raises(ValidationError):
+            ev.inter_dist(hyps, 2)
+        with pytest.raises(ValidationError):
+            ev.count_groups([[[(1,)]]], 0)
+
+
 class TestStripTerminals:
     def test_drops_eos_and_pad_only(self):
         assert ev.strip_terminals([5, 6, 2, 0, 0]) == (5, 6)
@@ -232,6 +296,30 @@ class TestEvaluate:
         posts = [vocab.encode(r.post) for r in test]
         with pytest.raises(ValidationError):
             ev.generate_samples(model, posts, n_samples, 0, max_len, chunk_rows=chunk_rows)
+
+
+class TestNoiseStreams:
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32 + 5])
+    def test_eps_rows_are_the_seed_3_i_j_streams(self, monkeypatch, seed):
+        cfg = TrainConfig(variant="focconstrain", vocab_size=12, d_h=4, d_z=3, batch_size=4)
+        model = FocusCVAE(cfg, np.random.default_rng([2, 0]))
+        drawn = []
+
+        def record(ids, mask, row_post, eps_rows, max_len):
+            drawn.append(eps_rows)
+            return [None] * len(row_post)
+
+        monkeypatch.setattr(model, "generate_rows", record)
+        # i past 2**16, one sample each; then j up to 2 on three posts
+        ev.generate_samples(model, [np.array([3])] * 70_001, 1, seed, 1, chunk_rows=4096)
+        ev.generate_samples(model, [np.array([3])] * 3, 3, seed, 1)
+        eps = np.concatenate(drawn)
+        jobs = [(i, 0) for i in range(70_001)] + [(i, j) for i in range(3) for j in range(3)]
+        assert eps.shape == (len(jobs), 3)
+        for row, (i, j) in enumerate(jobs):
+            if i in (0, 1, 2, 255, 256, 65_535, 65_536, 69_999, 70_000):
+                want = np.random.default_rng([seed, 3, i, j]).standard_normal(3)
+                assert eps[row].tobytes() == want.tobytes(), (i, j)
 
 
 def expanded_samples(model, posts, n_samples, seed, max_len, chunk_rows):

@@ -242,8 +242,39 @@ def test_alignment_gap_frozen_distances():
     assert gap == math.sqrt(total) == 0.135400640077266
 
 
+def test_alignment_gap_rows_equal_the_one_row_recount():
+    # ragged masks, with gaps in the middle of a row, and junk where they are
+    # off; row 0 holds the eight-position case above
+    cov8 = [0.4, 0.7, 0.1, 0.6, 0.2, 0.3, 0.5, 0.2]
+    focus8 = [0.1, 0.15, 0.0, 0.2, 0.15, 0.1, 0.2, 0.1]
+    rng = np.random.default_rng(5)
+    cov = rng.uniform(0.0, 3.0, size=(5, 11))
+    focus = rng.uniform(0.0, 1.0, size=(5, 11))
+    mask = rng.random((5, 11)) < 0.6
+    cov[0, :8], focus[0, :8], mask[0] = cov8, focus8, np.arange(11) < 8
+    mask[1], mask[2, :] = True, False
+    mask[2, 4] = True
+    lengths = np.array([3, 1, 2, 7, 4])
+    gaps = alignment_gap(cov, lengths, focus, mask)
+    for i in range(5):
+        total = 0.0
+        for c, f in zip(cov[i][mask[i]], focus[i][mask[i]]):
+            diff = c / lengths[i] - f
+            total += diff * diff
+        assert gaps[i] == math.sqrt(total) == alignment_gap(cov[i][mask[i]], lengths[i],
+                                                             focus[i][mask[i]])
+    assert gaps[0] == 0.135400640077266
+
+
 def test_alignment_gap_validates():
     with pytest.raises(ValidationError):
         alignment_gap(np.array([1.0]), resp_len=0, focus=np.array([1.0]))
     with pytest.raises(DimensionError):
         alignment_gap(np.array([1.0, 0.0]), resp_len=1, focus=np.array([1.0]))
+    rows = np.ones((2, 3))
+    with pytest.raises(DimensionError):
+        alignment_gap(rows, np.array([1, 2, 3]), rows)
+    with pytest.raises(DimensionError):
+        alignment_gap(rows, np.array([1, 2]), rows, np.ones((2, 2), dtype=bool))
+    with pytest.raises(ValidationError):
+        alignment_gap(rows, np.array([1, 0]), rows)
