@@ -439,18 +439,6 @@ def pick(x: Tensor, idx: Array) -> Tensor:
 # normalization primitives
 
 
-def _rows_and_mask(x: Tensor, mask):
-    rows = x.data if x.data.ndim == 2 else x.data.reshape(1, -1)
-    if mask is None:
-        m = np.ones(rows.shape, dtype=bool)
-    else:
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != x.shape:
-            raise DimensionError(f"mask shape {m.shape} does not match {x.shape}")
-        m = m.reshape(rows.shape)
-    return rows, m
-
-
 def _masked_softmax(rows: Array, m: Array) -> Array:
     """Softmax of each row of a 2-d array over the positions where m is
     True; the other positions come out exactly 0."""
@@ -460,38 +448,36 @@ def _masked_softmax(rows: Array, m: Array) -> Array:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax(x: Tensor, mask=None) -> Tensor:
-    """Row-wise masked softmax; masked positions come out exactly 0.
+def softmax(x: Tensor, mask) -> Tensor:
+    """Masked softmax over each row of a 2-d x; masked positions come out
+    exactly 0.
 
-    Masked logits are treated as -inf before the max-subtracted normalization,
-    so each unmasked row sums to 1 up to float rounding.
+    mask has x's shape.  Masked logits are treated as -inf before the
+    max-subtracted normalization, so each row sums to 1 up to float rounding.
     """
-    rows, m = _rows_and_mask(x, mask)
+    m = np.asarray(mask, dtype=bool)
+    if x.data.ndim != 2 or m.shape != x.shape:
+        raise DimensionError(f"softmax: needs a 2-d tensor and a mask of its shape, "
+                             f"got {x.shape} and {m.shape}")
     if not m.any(axis=1).all():
         raise MaskError("softmax: a row has every position masked")
-    y = _masked_softmax(rows, m)
-    out = Tensor(y.reshape(x.shape))
+    y = _masked_softmax(x.data, m)
 
     def backward(g: Array):
-        g2 = g.reshape(y.shape)
-        dot = (g2 * y).sum(axis=1, keepdims=True)
-        return ((y * (g2 - dot)).reshape(x.shape),)
+        dot = (g * y).sum(axis=1, keepdims=True)
+        return (y * (g - dot),)
 
-    return _record((x,), out, backward)
+    return _record((x,), Tensor(y), backward)
 
 
 def log_softmax(x: Tensor) -> Tensor:
-    rows = x.data if x.data.ndim == 2 else x.data.reshape(1, -1)
-    shifted = rows - rows.max(axis=1, keepdims=True)
+    """Log-softmax over each row of a 2-d tensor."""
+    if x.data.ndim != 2:
+        raise DimensionError(f"log_softmax: needs a 2-d tensor, got {x.shape}")
+    shifted = x.data - x.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     y = shifted - lse
-    out = Tensor(y.reshape(x.shape))
-
-    def backward(g: Array):
-        g2 = g.reshape(y.shape)
-        return ((g2 - np.exp(y) * g2.sum(axis=1, keepdims=True)).reshape(x.shape),)
-
-    return _record((x,), out, backward)
+    return _record((x,), Tensor(y), lambda g: (g - np.exp(y) * g.sum(axis=1, keepdims=True),))
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +526,7 @@ def _gru_step(xw: Array, h: Array, U: Array, b: Array,
     cells, as `gru_layer` stacks its two directions: every product is
     still one 2-d matmul per cell and the rest is elementwise, so stacking
     changes no bit.  Returns (h', ur, c, 1 - u), where ur stacks u and r.
+    With all-zero weights a step halves the state (u = 0.5, c = 0).
     """
     ur = h @ U[:2]
     ur += xw[:2]
@@ -628,46 +615,38 @@ def _cell_parts(w_grads: tuple[Array, ...], d: int) -> tuple[Array, ...]:
             gW[0, d], gU[0, d], gb[0, d])
 
 
-def _by_step(a: Array, n: int) -> Array:
-    """[position, direction (or 1, shared), ...] to [step, direction, ...]:
-    direction 1 reads the positions backwards."""
-    return a if n == 1 else np.stack([a[:, 0], a[::-1, -1]], axis=1)
+def _by_step(a: Array) -> Array:
+    """[position, ...] to [step, direction, ...]: the forward direction reads
+    the positions in order, the backward one from the last to the first."""
+    return np.stack([a, a[::-1]], axis=1)
 
 
-def _x_by_step(x: Tensor, b: int, t: int, d_in: int, n: int) -> Array:
-    """x's [B, T*d_in] rows as [step, direction (or 1, shared), B, d_in]."""
-    return _by_step(x.data.reshape(b, t, d_in).transpose(1, 0, 2)[:, None], n)
+def _x_by_step(x: Tensor, b: int, t: int, d_in: int) -> Array:
+    """x's [B, T*d_in] rows as [step, direction, B, d_in]."""
+    return _by_step(x.data.reshape(b, t, d_in).transpose(1, 0, 2))
 
 
-def _join(a: Array) -> Array:
-    """[D, B, u] states as [B, D*u] rows, a view for one direction."""
-    return a[0] if len(a) == 1 else np.concatenate(a, axis=1)
-
-
-def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights],
-              h0: Tensor | None = None) -> Tensor:
-    """A GRU layer over a padded batch, recorded as one tape node.
+def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights]) -> Tensor:
+    """A bidirectional GRU layer over a padded batch, recorded as one tape node.
 
     update gate   u = sigmoid(x W_u + h U_u + b_u)
     reset gate    r = sigmoid(x W_r + h U_r + b_r)
     candidate     c = tanh(x W_h + (r*h) U_h + b_h)
     new state     h' = (1-u)*h + u*c
 
-    x is [B, T*d_in], position t in columns t*d_in:(t+1)*d_in.  cells holds
-    one cell, reading positions 0..T-1, or a (forward, backward) pair whose
-    second cell reads T-1..0; D is their number.  With a [B, T] 0/1 mask a
-    step gives h'*keep + h*(1-keep), keep being its position's column, so
-    PAD positions carry the state through.  h0 is the [B, D*u] initial
-    state (None: zeros).  Position t of the [B, T*D*u] output holds each
-    cell's state after reading it.  The decoder's cells run the same step
-    functions inside `decoder.decode_train`'s node.
+    x is [B, T*d_in], position t in columns t*d_in:(t+1)*d_in, and mask is
+    [B, T] of 0/1.  cells is a (forward, backward) pair: the forward cell
+    reads positions 0..T-1 and the backward cell T-1..0, each from a zero
+    state.  A step gives h'*keep + h*(1-keep), keep being its position's
+    mask column, so PAD positions carry the state through.  Position t of
+    the [B, T*2u] output holds the forward and then the backward state
+    after reading it.  The decoder's cells run the same step functions
+    inside `decoder.decode_train`'s node.
 
-    The cells step in lockstep on [D, B, u] stacks, with the input
+    The two cells step in lockstep on [2, B, u] stacks, with the input
     projections computed before the loop.  Each backward step takes its
     weight gradients in one matmul per kind and writes its input gradients
-    in place, one matmul per cell.  One cell reads x through a view, and at
-    T = 1 the state is the output: extra temporaries made glibc give heap
-    pages back and fault them in again on every call.
+    in place, one matmul per cell.
 
     Per step the node keeps only the gates u, r and the candidate c.  Its
     backward rebuilds, once per call, what else it reads: 1 - u, the state
@@ -679,26 +658,20 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights],
     (matmul, add, bias_add, sigmoid, tanh, mul, neg, scale_rows, concat):
     each stacked product is the same 2-d matmul, and the node lists each
     input once per gradient part in that composition's order: x three times
-    per cell (W_h, W_r, W_u parts), h0 once per part (carry when masked,
-    (1-u)*h, r*h, U_r, U_u), each weight once per step; the backward cell
-    first, steps from the last to the first.  With all-zero weights a step
-    halves the state (u = 0.5, c = 0), the tests' convention check.
+    per cell (W_h, W_r, W_u parts) and each weight once per step; the
+    backward cell first, steps from the last to the first.
     """
-    n = len(cells)
-    if n not in (1, 2):
-        raise DimensionError(f"gru_layer: takes one cell or a (forward, backward) pair, got {n}")
+    if len(cells) != 2:
+        raise DimensionError(f"gru_layer: takes a (forward, backward) cell pair, "
+                             f"got {len(cells)} cells")
     d_in, units = cells[0].W_u.shape
-    m = None if mask is None else np.asarray(mask)
-    if m is not None and (m.ndim != 2 or m.shape[1] == 0):
+    m = np.asarray(mask)
+    if m.ndim != 2 or m.shape[1] == 0:
         raise DimensionError(f"gru_layer: mask must be [B, T] with T > 0, got shape {m.shape}")
-    if x.data.ndim != 2:
-        raise DimensionError(f"gru_layer: input must be 2-d, got shape {x.shape}")
-    b, t = (x.shape[0], x.shape[1] // d_in) if m is None else m.shape
-    if t == 0 or x.shape != (b, t * d_in):
-        raise DimensionError(f"gru_layer: input {x.shape} does not hold {max(t, 1)} positions of "
+    b, t = m.shape
+    if x.shape != (b, t * d_in):
+        raise DimensionError(f"gru_layer: input {x.shape} does not hold {t} positions of "
                              f"width {d_in} for {b} rows")
-    if h0 is not None and h0.shape != (b, n * units):
-        raise DimensionError(f"gru_layer: h0 has shape {h0.shape}, expected {(b, n * units)}")
     want = {"W": (d_in, units), "U": (units, units), "b": (units,)}
     for cell in cells:
         for f in fields(cell):
@@ -709,64 +682,58 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights],
 
     # [gate u/r/h, direction, ...]
     W, U, bias = _gate_stacks(cells)
-    xw = _x_by_step(x, b, t, d_in, n)[:, None] @ W  # [step, gate, direction, B, u]
-    keep = [None] * t if m is None else _by_step(m.T.astype(np.float64)[:, None, :, None], n)
-    drop = keep if m is None else 1.0 - keep
-    h_first = (np.zeros((n, b, units)) if h0 is None
-               else h0.data.reshape(b, n, units).transpose(1, 0, 2))
+    xw = _x_by_step(x, b, t, d_in)[:, None] @ W  # [step, gate, direction, B, u]
+    keep = _by_step(m.T.astype(np.float64)[:, :, None])  # [step, direction, B, 1]
+    drop = 1.0 - keep
+    h_first = np.zeros((2, b, units))
 
-    n_h = 0 if h0 is None else 4 if m is None else 5
-    inputs = (x,) * (3 * n) + (h0,) * n_h
+    inputs = (x,) * 6
     for cell in cells[::-1]:  # in the order of each step's weight parts below
         inputs += _cell_inputs(cell) * t
     recording = _recording(inputs)
-    out = np.empty((b, t, n, units)) if t > 1 else None
+    out = np.empty((b, t, 2, units))
     saved = []  # (ur, c) of each step, kept only for a backward pass
     h = h_first
     for i in range(t):
         h, ur, c, _ = _gru_step(xw[i], h, U, bias, keep[i], drop[i])
         if recording:
             saved.append((ur, c))
-        if out is not None:
-            for d, pos in enumerate((i, t - 1 - i)[:n]):
-                out[:, pos, d] = h[d]
-    out = _join(h) if out is None else out.reshape(b, t * n * units)
-    x_rg, h0_rg = x.requires_grad, h0 is not None and h0.requires_grad
+        out[:, i, 0] = h[0]
+        out[:, t - 1 - i, 1] = h[1]
+    out = out.reshape(b, t * 2 * units)
+    x_rg = x.requires_grad
 
     def backward(g: Array):
-        g4 = g.reshape(b, t, n, units)
-        xd = _x_by_step(x, b, t, d_in, n)
+        g4 = g.reshape(b, t, 2, units)
+        xd = _x_by_step(x, b, t, d_in)
         # the state before step i > 0 is step i - 1's output, laid out as
         # `_gru_step` returned it: [step - 1, direction, B, u]
-        out4 = out.reshape(b, t, n, units)
-        before = np.empty((t - 1, n, b, units))
+        out4 = out.reshape(b, t, 2, units)
+        before = np.empty((t - 1, 2, b, units))
         before[:, 0] = out4[:, :t - 1, 0].transpose(1, 0, 2)
-        if n == 2:
-            before[:, 1] = out4[:, t - 1:0:-1, 1].transpose(1, 0, 2)
+        before[:, 1] = out4[:, t - 1:0:-1, 1].transpose(1, 0, 2)
         W, U, _ = _gate_stacks(cells)  # the forward's are not kept
         W_T = W.transpose(0, 1, 3, 2)
-        px = np.empty((3, n, b, t, d_in)) if x_rg else None  # [gate h/r/u, direction, B, T, d_in]
+        px = np.empty((3, 2, b, t, d_in)) if x_rg else None  # [gate h/r/u, direction, B, T, d_in]
         w_grads, h_parts = [], []  # w_grads from the last step to the first
         for i in range(t - 1, -1, -1):
             # step i's output gradient, then step i+1's parts for its state,
             # in the order the tape added them
-            gh = g4[:, i, 0][None] if n == 1 else np.stack([g4[:, i, 0], g4[:, t - 1 - i, 1]])
+            gh = np.stack([g4[:, i, 0], g4[:, t - 1 - i, 1]])
             gh = gh if i == t - 1 else gh + h_parts[0]
             for part in h_parts[1:]:
                 gh += part
             ur, c = saved[i]
             h = before[i - 1] if i else h_first
-            dg = np.empty((3, n, b, units))  # [gate u/r/h, direction, B, u]
-            h_parts = _gru_step_grads(gh, h, ur, c, 1.0 - ur[0], keep[i], drop[i], U, dg,
-                                      i > 0 or h0_rg)
+            dg = np.empty((3, 2, b, units))  # [gate u/r/h, direction, B, u]
+            h_parts = _gru_step_grads(gh, h, ur, c, 1.0 - ur[0], keep[i], drop[i], U, dg, i > 0)
             w_grads.append(_gru_weight_grads(xd[i], h, ur, dg))
             if x_rg:
-                for d, pos in enumerate((i, t - 1 - i)[:n]):
-                    np.matmul(dg[:, d], W_T[:, d], out=px[::-1, d, :, pos])
-        parts = ([p for d in range(n - 1, -1, -1) for p in px[:, d].reshape(3, b, t * d_in)]
-                 if x_rg else [None] * (3 * n))
-        parts += [_join(p) for p in h_parts] if h0_rg else [None] * n_h
-        for d in range(n - 1, -1, -1):
+                np.matmul(dg[:, 0], W_T[:, 0], out=px[::-1, 0, :, i])
+                np.matmul(dg[:, 1], W_T[:, 1], out=px[::-1, 1, :, t - 1 - i])
+        parts = ([p for d in (1, 0) for p in px[:, d].reshape(3, b, t * d_in)]
+                 if x_rg else [None] * 6)
+        for d in (1, 0):
             for step_grads in w_grads:
                 parts += _cell_parts(step_grads, d)
         return parts

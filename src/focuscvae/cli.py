@@ -115,12 +115,12 @@ def _resolved_train_config(args, vocab_len: int) -> TrainConfig:
 
 def cmd_make_corpus(args) -> int:
     records, vocab = generate_synthetic(seed=args.seed, n_pairs=args.n_pairs)
+    # split before anything is written, so a refused --holdout leaves no --out
+    train, test = (split_records(records, args.holdout, seed=args.seed) if args.holdout
+                   else (records, None))
     args.out.mkdir(parents=True, exist_ok=True)
-    if args.holdout:
-        train, test = split_records(records, args.holdout, seed=args.seed)
+    if test is not None:
         save_jsonl(test, args.out / "test.jsonl")
-    else:
-        train = records
     save_jsonl(train, args.out / "corpus.jsonl")
     vocab.save(args.out / "vocab.json")
     held = f", {args.holdout} posts held out" if args.holdout else ""
@@ -148,6 +148,7 @@ def cmd_train(args) -> int:
         training.check_resume(cfg.validate(), resume)  # before config.json is rewritten
     else:
         cfg = _resolved_train_config(args, len(vocab))
+    training.check_pairs(cfg, pairs)  # before --out is made
 
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "config.json").write_text(cfg.canonical_json() + "\n")

@@ -64,15 +64,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    @classmethod
-    def from_tokens(cls, tokens) -> "Vocabulary":
-        """Build from an iterable of non-special tokens, first-seen order."""
-        seen: dict[str, None] = {}
-        for t in tokens:
-            if t not in _SPECIALS:
-                seen.setdefault(t)
-        return cls(list(_SPECIALS) + list(seen))
-
     def encode(self, tokens: list[str]) -> np.ndarray:
         return np.array([self.token_to_id.get(t, UNK_ID) for t in tokens], dtype=np.int64)
 

@@ -86,17 +86,15 @@ class EncoderOutputs:
 def encode(token_ids, mask, emb_table: Tensor, weights: EncoderWeights) -> EncoderOutputs:
     """Run the stacked bidirectional encoder over a padded batch.
 
-    Accepts [B, T] (or a single [T] sequence) of token ids with a boolean
-    mask.  Position i of the output concatenates the forward state after
-    reading tokens 1..i with the backward state after reading T..i; the
-    pooled vector is the mean over unmasked positions.
+    Takes [B, T] token ids and a boolean mask of the same shape.  Each layer
+    is one `gru_layer` node.  Position i of the output concatenates the
+    forward state after reading tokens 1..i with the backward state after
+    reading T..i; the pooled vector is the mean over unmasked positions.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     m = np.asarray(mask, dtype=bool)
-    if ids.ndim == 1:
-        ids, m = ids.reshape(1, -1), m.reshape(1, -1)
-    if ids.shape != m.shape:
-        raise DimensionError(f"ids shape {ids.shape} does not match mask shape {m.shape}")
+    if ids.ndim != 2 or ids.shape != m.shape:
+        raise DimensionError(f"ids shape {ids.shape} and mask shape {m.shape} must be one [B, T]")
     b, t = ids.shape
     if t == 0 or not m.any(axis=1).all():
         raise ValidationError("every sequence needs at least one unmasked token")

@@ -433,6 +433,17 @@ def check_resume(cfg: TrainConfig, resume: CheckpointState) -> None:
         raise ValidationError(f"checkpoint is already at step {resume.step} of {cfg.total_steps}")
 
 
+def check_pairs(cfg: TrainConfig, pairs: list[PostResponsePair]) -> None:
+    """Refuse pairs that `train` cannot run on: none at all, or a token id
+    outside cfg's vocabulary."""
+    if not pairs:
+        raise ValidationError("training needs at least one pair")
+    over = int(np.concatenate([p.post for p in pairs] + [p.response for p in pairs]).max())
+    if over >= cfg.vocab_size:
+        raise CompatibilityError(
+            f"corpus uses token id {over} but config says vocab_size {cfg.vocab_size}")
+
+
 def train(cfg: TrainConfig, pairs: list[PostResponsePair], out_dir=None,
           resume: CheckpointState | None = None) -> TrainResult:
     """Run cfg.total_steps optimization steps (continuing from `resume` if
@@ -442,13 +453,7 @@ def train(cfg: TrainConfig, pairs: list[PostResponsePair], out_dir=None,
     (seed, step), so an interrupted run resumed from its checkpoint replays
     the remaining steps exactly.
     """
-    cfg.validate()
-    if not pairs:
-        raise ValidationError("training needs at least one pair")
-    over = int(np.concatenate([p.post for p in pairs] + [p.response for p in pairs]).max())
-    if over >= cfg.vocab_size:
-        raise CompatibilityError(
-            f"corpus uses token id {over} but config says vocab_size {cfg.vocab_size}")
+    check_pairs(cfg.validate(), pairs)
 
     if resume is not None:
         check_resume(cfg, resume)

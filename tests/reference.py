@@ -1,10 +1,12 @@
 """Compositions of tape primitives that fused code in src/ replaced, kept as
-the references the fused code must match bit for bit.
+the references the fused code must match bit for bit.  They call no fused
+node of src/: the GRU cell is built op by op here.
 
-The attention read and the decode step below are the per-step compositions
-that `decoder.decode_train` records as one node and that `greedy_decode`
-runs on arrays; `reference_decode_train` and `reference_greedy_decode`
-loop them as the decoder did.
+The GRU cell is the step that `autodiff.gru_layer` and the decoder run on
+arrays.  The attention read and the decode step below are the per-step
+compositions that `decoder.decode_train` records as one node and that
+`greedy_decode` runs on arrays; `reference_decode_train` and
+`reference_greedy_decode` loop them as the decoder did.
 
 The Counter-based n-gram scores at the end are the straight-line oracle for
 the array scorers of `focuscvae.evaluation`.
@@ -31,6 +33,34 @@ def sum_groups(x: Tensor, k: int) -> Tensor:
     return ad._record((x,), out, lambda g: (np.repeat(g, k, axis=0),))
 
 
+def reference_sigmoid_data(d):
+    pos = d >= 0
+    z = np.empty_like(d)
+    z[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ez = np.exp(d[~pos])
+    z[~pos] = ez / (1.0 + ez)
+    return z
+
+
+def reference_sigmoid(x):
+    z = reference_sigmoid_data(x.data)
+    return ad._record((x,), Tensor(z), lambda g: (g * z * (1.0 - z),))
+
+
+def reference_gru_cell(x, h_prev, w, keep=None):
+    """One GRU step on x [B, d_in] from h_prev [B, u]; keep is a [B, 1] 0/1
+    column whose 0 rows carry h_prev through, or None."""
+    u = reference_sigmoid(ad.bias_add(ad.add(ad.matmul(x, w.W_u), ad.matmul(h_prev, w.U_u)), w.b_u))
+    r = reference_sigmoid(ad.bias_add(ad.add(ad.matmul(x, w.W_r), ad.matmul(h_prev, w.U_r)), w.b_r))
+    c = ad.tanh(ad.bias_add(ad.add(ad.matmul(x, w.W_h), ad.matmul(ad.mul(r, h_prev), w.U_h)),
+                            w.b_h))
+    h_new = ad.add(ad.mul(ad.add(ad.neg(u), 1.0), h_prev), ad.mul(u, c))
+    if keep is None:
+        return h_new
+    # masked carry: PAD rows keep the previous state
+    return ad.add(ad.scale_rows(h_new, Tensor(keep)), ad.scale_rows(h_prev, Tensor(1.0 - keep)))
+
+
 def reference_attend_step(setup, s_prev: Tensor, coverage: Tensor, update_mask=None):
     """One attention read as tape primitives: (alpha, context, coverage)."""
     b, length = setup.post_mask.shape
@@ -52,13 +82,13 @@ def reference_attend_step(setup, s_prev: Tensor, coverage: Tensor, update_mask=N
 
 def reference_decode_step(setup, states, coverage, t, prev, emb_table, w, update_mask):
     """Decode step t (1-based) as tape primitives: attend, embed the previous
-    ids (the start input at t = 1), advance both one-step GRU layers,
-    project [state; context].  Returns (logits, alpha, states, coverage)."""
+    ids (the start input at t = 1), advance both GRU cells, project
+    [state; context].  Returns (logits, alpha, states, coverage)."""
     alpha, context, coverage = reference_attend_step(setup, states[-1], coverage, update_mask)
     b = setup.post_mask.shape[0]
     x = ad.repeat_rows(w.start, b) if t == 1 else ad.embedding(emb_table, prev)
-    s0 = ad.gru_layer(x, None, w.cells[:1], states[0])
-    s1 = ad.gru_layer(s0, None, w.cells[1:], states[1])
+    s0 = reference_gru_cell(x, states[0], w.cells[0])
+    s1 = reference_gru_cell(s0, states[1], w.cells[1])
     logits = affine(ad.concat([s1, context], axis=1), w.out)
     return logits, alpha, [s0, s1], coverage
 

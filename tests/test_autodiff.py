@@ -7,9 +7,10 @@ import pytest
 
 from focuscvae import autodiff as ad
 from focuscvae.autodiff import Tensor, Tape, GRUCellWeights, grad_check, gru_layer
+from focuscvae.decoder import _fold
 from focuscvae.encoders import encode, init_encoder_weights
 from focuscvae.errors import DimensionError, DomainError, MaskError
-from reference import sum_groups
+from reference import reference_gru_cell, reference_sigmoid_data, sum_groups
 
 
 def scalar_loss(t):
@@ -22,15 +23,15 @@ def test_tanh_known_value():
 
 
 def test_softmax_known_values():
-    y = ad.softmax(Tensor([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(y.data, [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
+    y = ad.softmax(Tensor([[1.0, 2.0, 3.0]]), np.ones((1, 3), dtype=bool))
+    np.testing.assert_allclose(y.data, [[0.09003057, 0.24472847, 0.66524096]], atol=1e-8)
     assert y.data.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_softmax_mask_zeroes_positions_exactly():
-    mask = np.array([True, False, True, False])
-    y = ad.softmax(Tensor([0.3, 5.0, -0.2, 9.0]), mask)
-    assert y.data[1] == 0.0 and y.data[3] == 0.0
+    mask = np.array([[True, False, True, False]])
+    y = ad.softmax(Tensor([[0.3, 5.0, -0.2, 9.0]]), mask)
+    assert y.data[0, 1] == 0.0 and y.data[0, 3] == 0.0
     assert y.data.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -40,13 +41,24 @@ def test_softmax_all_masked_is_an_error():
 
 
 def test_softmax_masked_gradient_exactly_zero():
-    x = Tensor([0.5, 1.5, -0.5], requires_grad=True)
-    mask = np.array([True, False, True])
+    x = Tensor([[0.5, 1.5, -0.5]], requires_grad=True)
+    mask = np.array([[True, False, True]])
     with Tape() as tape:
         y = ad.softmax(x, mask)
         loss = scalar_loss(ad.mul(y, y))
     tape.backward(loss)
-    assert x.grad[1] == 0.0
+    assert x.grad[0, 1] == 0.0
+
+
+def test_softmax_and_log_softmax_take_2d_rows():
+    row = Tensor([[0.5, 1.5, -0.5]])
+    for x, mask in ((Tensor([0.5, 1.5, -0.5]), np.ones(3, dtype=bool)),  # 1-d
+                    (row, np.ones((3, 1), dtype=bool)),  # mask of another shape
+                    (row, None)):  # no mask
+        with pytest.raises(DimensionError):
+            ad.softmax(x, mask)
+    with pytest.raises(DimensionError):
+        ad.log_softmax(Tensor([0.5, 1.5, -0.5]))
 
 
 def test_log_rejects_non_positive():
@@ -209,6 +221,8 @@ def _rand(rng, shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
+ALL_ON = np.ones((3, 5), dtype=bool)  # the unmasked softmax cases' mask
+
 PRIMITIVE_CASES = [
     ("add", lambda rng: ((a := _rand(rng, (3, 4))), (b := _rand(rng, (3, 4))),
                          lambda: scalar_loss(ad.mul(ad.add(a, b), ad.add(a, b))), {"a": a, "b": b})),
@@ -249,12 +263,13 @@ PRIMITIVE_CASES = [
     ("sum_cols", lambda rng: ((a := _rand(rng, (4, 3))), None,
                               lambda: scalar_loss(ad.tanh(ad.sum_cols(a))), {"a": a})),
     ("softmax", lambda rng: ((a := _rand(rng, (3, 5))), None,
-                             lambda: scalar_loss(ad.mul(ad.softmax(a), a)), {"a": a})),
+                             lambda: scalar_loss(ad.mul(ad.softmax(a, ALL_ON), a)), {"a": a})),
     ("softmax_masked", lambda rng: ((a := _rand(rng, (3, 5))), None,
                                     lambda: scalar_loss(ad.mul(ad.softmax(
                                         a, np.array([[1, 1, 0, 1, 0]] * 3, dtype=bool)), a)), {"a": a})),
     ("log_softmax", lambda rng: ((a := _rand(rng, (3, 5))), None,
-                                 lambda: scalar_loss(ad.mul(ad.log_softmax(a), ad.softmax(a))), {"a": a})),
+                                 lambda: scalar_loss(ad.mul(ad.log_softmax(a),
+                                                            ad.softmax(a, ALL_ON))), {"a": a})),
     ("embedding", lambda rng: ((t := _rand(rng, (6, 3))), None,
                                lambda: scalar_loss(ad.tanh(ad.embedding(t, np.array([0, 2, 2, 5, 1])))), {"t": t})),
     ("pick", lambda rng: ((a := _rand(rng, (4, 5))), None,
@@ -286,133 +301,48 @@ def rand_cell(rng, d_in, d_h, scale=0.5, requires_grad=True):
     )
 
 
-def one_step(x, h_prev, w, keep=None):
-    """A decoder step: the one-cell layer at T = 1, with keep as its mask."""
-    return gru_layer(x, keep, [w], h_prev)
-
-
 def test_gru_cell_zero_weights_halve_state():
+    # on the step that both the encoder layer and the decode node run
     d_in, d_h = 3, 4
-    zeros = lambda shape: Tensor(np.zeros(shape), requires_grad=True)
+    zeros = lambda shape: Tensor(np.zeros(shape))
     w = GRUCellWeights(
         W_u=zeros((d_in, d_h)), U_u=zeros((d_h, d_h)), b_u=zeros(d_h),
         W_r=zeros((d_in, d_h)), U_r=zeros((d_h, d_h)), b_r=zeros(d_h),
         W_h=zeros((d_in, d_h)), U_h=zeros((d_h, d_h)), b_h=zeros(d_h),
     )
-    v = np.array([[0.2, -0.4, 1.0, 3.0]])
-    h = one_step(Tensor(np.ones((1, d_in))), Tensor(v), w)
-    np.testing.assert_allclose(h.data, 0.5 * v, atol=1e-15)
-
-
-def _check_gru_cell_gradients(keep):
-    rng = np.random.default_rng(7)
-    d_in, d_h = 3, 4
-    w = rand_cell(rng, d_in, d_h)
-    b = 2 if keep is None else keep.shape[0]
-    x = Tensor(rng.normal(size=(b, d_in)), requires_grad=True)
-    h0 = Tensor(rng.normal(size=(b, d_h)), requires_grad=True)
-
-    def f():
-        h1 = one_step(x, h0, w, keep)
-        h2 = one_step(x, h1, w, None if keep is None else 1.0 - keep)
-        return scalar_loss(ad.mul(h2, h2))
-
-    params = {"x": x, "h0": h0, **w.named("w")}
-    report = grad_check(f, params, h=1e-5, tol=1e-6)
-    assert report.passed, report.format()
-
-
-def test_gru_cell_gradients():
-    _check_gru_cell_gradients(None)
-
-
-def test_gru_cell_gradients_with_mask():
-    _check_gru_cell_gradients(np.array([[1.0], [0.0], [1.0]]))
-
-
-def test_gru_cell_shape_mismatch():
-    rng = np.random.default_rng(3)
-    w = rand_cell(rng, 3, 4, requires_grad=False)
-    with pytest.raises(DimensionError):
-        one_step(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 4))), w)
-    with pytest.raises(DimensionError):
-        one_step(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 5))), w)
-    with pytest.raises(DimensionError):
-        one_step(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), w)
-    with pytest.raises(DimensionError):
-        one_step(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), w, np.ones(2))
-
-
-# the op-by-op composition the fused cell replaced, kept as its reference
-
-
-def reference_sigmoid_data(d):
-    pos = d >= 0
-    z = np.empty_like(d)
-    z[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    z[~pos] = ez / (1.0 + ez)
-    return z
-
-
-def reference_sigmoid(x):
-    z = reference_sigmoid_data(x.data)
-    return ad._record((x,), Tensor(z), lambda g: (g * z * (1.0 - z),))
-
-
-def reference_gru_cell(x, h_prev, w, keep=None):
-    u = reference_sigmoid(ad.bias_add(ad.add(ad.matmul(x, w.W_u), ad.matmul(h_prev, w.U_u)), w.b_u))
-    r = reference_sigmoid(ad.bias_add(ad.add(ad.matmul(x, w.W_r), ad.matmul(h_prev, w.U_r)), w.b_r))
-    c = ad.tanh(ad.bias_add(ad.add(ad.matmul(x, w.W_h), ad.matmul(ad.mul(r, h_prev), w.U_h)),
-                            w.b_h))
-    h_new = ad.add(ad.mul(ad.add(ad.neg(u), 1.0), h_prev), ad.mul(u, c))
-    if keep is None:
-        return h_new
-    # masked carry: PAD rows keep the previous state
-    return ad.add(ad.scale_rows(h_new, Tensor(keep)), ad.scale_rows(h_prev, Tensor(1.0 - keep)))
-
-
-def _two_directions(cell, keeps):
-    """Three chained steps each way over shared inputs, as the encoder runs
-    them; every x and h also feeds a consumer recorded after the cells."""
-    rng = np.random.default_rng(21)
-    b, d_in, d_h = 4, 3, 5
-    fwd_w, bwd_w = rand_cell(rng, d_in, d_h), rand_cell(rng, d_in, d_h)
-    leaves = [Tensor(rng.normal(size=(b, d_in)), requires_grad=True) for _ in range(3)]
-    h0 = Tensor(rng.normal(size=(b, d_h)), requires_grad=True)
-    probe = Tensor(rng.normal(size=(b, d_h)))
-    with Tape() as tape:
-        xs = [ad.tanh(leaf) for leaf in leaves]
-        states = []
-        for w, order in ((fwd_w, range(3)), (bwd_w, range(2, -1, -1))):
-            h = h0
-            for t in order:
-                h = cell(xs[t], h, w, keeps[t])
-                states.append(h)
-        loss = ad.sum_all(ad.mul(xs[0], xs[0]))
-        for x in xs[1:]:
-            loss = ad.add(loss, ad.sum_all(ad.mul(x, x)))
-        for h in states:
-            loss = ad.add(loss, ad.sum_all(ad.mul(h, probe)))
-    n_nodes = len(tape.nodes)
-    tape.backward(loss)
-    named = {"h0": h0, **{f"x{i}": leaf for i, leaf in enumerate(leaves)},
-             **fwd_w.named("fwd"), **bwd_w.named("bwd")}
-    return [s.data for s in states], {k: t.grad for k, t in named.items()}, n_nodes
+    W, U, b = ad._gate_stacks([w])
+    v = np.array([[[0.2, -0.4, 1.0, 3.0]]])  # [cell, B, u]
+    h, _, _, _ = ad._gru_step(np.ones((1, d_in)) @ W, v, U, b, None, None)
+    np.testing.assert_allclose(h, 0.5 * v, atol=1e-15)
 
 
 @pytest.mark.parametrize("masked", [False, True], ids=["decoder", "encoder"])
 def test_fused_gru_cell_is_bit_identical_to_the_composition(masked):
-    cols = [[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]]
-    keeps = [np.array(c).reshape(-1, 1) if masked else None for c in cols]
-    fused_states, fused_grads, fused_nodes = _two_directions(one_step, keeps)
-    ref_states, ref_grads, ref_nodes = _two_directions(reference_gru_cell, keeps)
-    assert fused_nodes == ref_nodes - 6 * (23 if masked else 20)
-    for a, b in zip(fused_states, ref_states):
-        assert np.array_equal(a, b)
-    assert fused_grads.keys() == ref_grads.keys()
-    for name in ref_grads:
-        assert np.array_equal(fused_grads[name], ref_grads[name]), name
+    # one step of `_gru_step` and its backward, which both src GRU paths run,
+    # against the op-by-op cell under a tape
+    rng = np.random.default_rng(21)
+    b, d_in, d_h = 4, 3, 5
+    w = rand_cell(rng, d_in, d_h)
+    x = Tensor(rng.normal(size=(b, d_in)), requires_grad=True)
+    h = Tensor(rng.normal(size=(b, d_h)), requires_grad=True)
+    keep = np.array([[1.0], [0.0], [1.0], [0.0]]) if masked else None
+    probe = rng.normal(size=(b, d_h))
+    with Tape() as tape:
+        ref = reference_gru_cell(x, h, w, keep)
+        loss = ad.sum_all(ad.mul(ref, Tensor(probe)))
+    tape.backward(loss)
+
+    W, U, bias = ad._gate_stacks([w])
+    keep, drop = (None, None) if keep is None else (keep[None], 1.0 - keep[None])
+    h_new, ur, c, omu = ad._gru_step(x.data @ W, h.data[None], U, bias, keep, drop)
+    dg = np.empty((3, 1, b, d_h))
+    h_parts = ad._gru_step_grads(probe[None], h.data[None], ur, c, omu, keep, drop, U, dg, True)
+    assert h_new[0].tobytes() == ref.data.tobytes()
+    assert _fold(h_parts)[0].tobytes() == h.grad.tobytes()
+    assert _fold([dg[k, 0] @ W[k, 0].T for k in (2, 1, 0)]).tobytes() == x.grad.tobytes()
+    w_parts = ad._cell_parts(ad._gru_weight_grads(x.data[None], h.data[None], ur, dg), 0)
+    for param, part in zip(ad._cell_inputs(w), w_parts, strict=True):
+        assert part.tobytes() == param.grad.tobytes()
 
 
 def test_sigmoid_matches_the_two_branch_form_bitwise():
@@ -429,7 +359,7 @@ def test_sigmoid_matches_the_two_branch_form_bitwise():
 # chain of scale_rows and add
 
 
-def reference_encode(ids, mask, emb, weights, cell):
+def reference_encode(ids, mask, emb, weights):
     b, t = ids.shape
     units = weights.layers[0][0].U_u.shape[0]
     keeps = [mask[:, i:i + 1].astype(np.float64) for i in range(t)]
@@ -439,7 +369,7 @@ def reference_encode(ids, mask, emb, weights, cell):
         for d, (w, order) in enumerate(((fwd_w, range(t)), (bwd_w, range(t - 1, -1, -1)))):
             h = Tensor(np.zeros((b, units)))
             for i in order:
-                h = cell(outputs[i], h, w, keeps[i])
+                h = reference_gru_cell(outputs[i], h, w, keeps[i])
                 states[d][i] = h
         outputs = [ad.concat([f, k], axis=1) for f, k in zip(*states)]
     flat = ad.reshape(ad.concat(outputs, axis=1), (b * t, 2 * units))
@@ -501,14 +431,11 @@ def _encode_layer(ids, mask, emb, weights):
     return out.states_flat, out.pooled
 
 
-@pytest.mark.parametrize("cell", [reference_gru_cell, one_step],
-                         ids=["composition", "one_step_layer"])
 @pytest.mark.parametrize("name", list(ENCODE_CASES))
-def test_bigru_layer_encode_is_bit_identical_to_the_per_step_nodes(name, cell):
+def test_bigru_layer_encode_is_bit_identical_to_the_per_step_nodes(name):
     case = ENCODE_CASES[name]
     outs, grads, nodes = _encode_case(case, _encode_layer)
-    ref_outs, ref_grads, _ = _encode_case(
-        case, lambda *a: reference_encode(*a, cell=cell))
+    ref_outs, ref_grads, _ = _encode_case(case, reference_encode)
     # T embeddings, their concat, one node per layer, the reshape and the mean
     assert nodes == sum(t + 3 + case["n_layers"] for t, _ in case["batches"])
     for a, b in zip(outs, ref_outs):
@@ -541,52 +468,20 @@ def test_bigru_layer_gradients_with_mask():
     assert report.passed, report.format()
 
 
-@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
-def test_one_cell_layer_is_bit_identical_to_its_chained_steps(masked):
-    rng = np.random.default_rng(29)
-    x, mask, (w, _) = _layer_inputs(rng)
-    h0 = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    probe = Tensor(rng.normal(size=(3, 4 * 2)))
-    m = mask.astype(np.float64) if masked else None
-    params = [x, h0, *w.named("").values()]
-
-    def chained():
-        h, states = h0, []
-        for i in range(4):
-            h = one_step(ad.narrow(x, 1, 3 * i, 3), h, w, None if m is None else m[:, i:i + 1])
-            states.append(h)
-        return ad.concat(states, axis=1)
-
-    def run(layer):
-        for p in params:
-            p.zero_grad()
-        with Tape() as tape:
-            out = layer()
-            loss = ad.sum_all(ad.mul(ad.mul(out, out), probe))
-        tape.backward(loss)
-        return [out.data] + [p.grad for p in params]
-
-    fused = run(lambda: gru_layer(x, m, [w], h0))
-    for a, b in zip(fused, run(chained)):
-        assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("n_cells", [1, 2])
-def test_gru_layer_gradients_with_an_initial_state(n_cells):
-    rng = np.random.default_rng(37)
-    x, mask, cells = _layer_inputs(rng)
-    cells = cells[:n_cells]
-    h0 = Tensor(rng.normal(size=(3, 2 * n_cells)), requires_grad=True)
-    probe = Tensor(rng.normal(size=(3, 4 * 2 * n_cells)))
-
-    def f():
-        out = gru_layer(x, mask, cells, h0)
-        return scalar_loss(ad.mul(ad.mul(out, out), probe))
-
-    params = {"x": x, "h0": h0, **{k: v for i, c in enumerate(cells)
-                                   for k, v in c.named(f"c{i}").items()}}
-    report = grad_check(f, params, h=1e-5, tol=1e-6)
-    assert report.passed, report.format()
+def test_gru_cell_shape_mismatch():
+    rng = np.random.default_rng(3)
+    x, mask, (fwd_w, bwd_w) = _layer_inputs(rng, requires_grad=False)
+    for cells in ([], [fwd_w], [fwd_w] * 3):  # not a (forward, backward) pair
+        with pytest.raises(DimensionError):
+            gru_layer(x, mask, cells)
+    with pytest.raises(DimensionError):  # backward cell has other units
+        gru_layer(x, mask, (fwd_w, rand_cell(rng, 3, 3, requires_grad=False)))
+    with pytest.raises(DimensionError):  # backward cell reads another width
+        gru_layer(x, mask, (fwd_w, rand_cell(rng, 4, 2, requires_grad=False)))
+    bad = rand_cell(rng, 3, 2, requires_grad=False)
+    bad.U_h = Tensor(np.zeros((2, 3)))
+    with pytest.raises(DimensionError):
+        gru_layer(x, mask, (bad, bwd_w))
 
 
 def test_bigru_layer_shape_mismatch():
@@ -597,23 +492,9 @@ def test_bigru_layer_shape_mismatch():
         gru_layer(Tensor(np.zeros((3, 13))), mask, (fwd_w, bwd_w))
     with pytest.raises(DimensionError):  # mask rows differ from the batch
         gru_layer(x, mask[:2], (fwd_w, bwd_w))
-    with pytest.raises(DimensionError):  # mask is not [B, T]
-        gru_layer(x, mask.reshape(-1), (fwd_w, bwd_w))
-    with pytest.raises(DimensionError):  # backward cell has other units
-        gru_layer(x, mask, (fwd_w, rand_cell(rng, 3, 3, requires_grad=False)))
-    with pytest.raises(DimensionError):  # backward cell reads another width
-        gru_layer(x, mask, (fwd_w, rand_cell(rng, 4, 2, requires_grad=False)))
-    bad = rand_cell(rng, 3, 2, requires_grad=False)
-    bad.U_h = Tensor(np.zeros((2, 3)))
-    with pytest.raises(DimensionError):
-        gru_layer(x, mask, (bad, bwd_w))
-    gru_layer(x, mask, (fwd_w, bwd_w), Tensor(np.zeros((3, 4))))
-    for h0 in (np.zeros((3, 2)), np.zeros((2, 4)), np.zeros(12)):  # h0 is not [B, 2u]
+    for m in (mask.reshape(-1), mask[:, :0], None):  # mask is not [B, T] with T > 0
         with pytest.raises(DimensionError):
-            gru_layer(x, mask, (fwd_w, bwd_w), Tensor(h0))
-    for cells in ([], [fwd_w] * 3):  # neither one cell nor a pair
-        with pytest.raises(DimensionError):
-            gru_layer(x, mask, cells)
+            gru_layer(x, m, (fwd_w, bwd_w))
 
 
 def test_bigru_layer_without_a_tape_records_nothing():

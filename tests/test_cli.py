@@ -38,6 +38,25 @@ def test_make_corpus_writes_split_and_vocab(workspace):
     assert pairs == 120
 
 
+@pytest.mark.parametrize("holdout", ["-1", "120"])
+def test_a_refused_holdout_writes_nothing(tmp_path, capsys, holdout):
+    out = tmp_path / "data"
+    assert main(["make-corpus", "--seed", "7", "--n-pairs", "120", "--holdout", holdout,
+                 "--out", str(out)]) == 1
+    assert "cannot hold out" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_training_on_an_empty_corpus_writes_nothing(workspace, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("")
+    out = tmp_path / "run"
+    assert main(["train", "--corpus", str(corpus), "--vocab", str(workspace / "data" / "vocab.json"),
+                 "--out", str(out), "--steps", "2"]) == 1
+    assert "at least one pair" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_persists_resolved_config_and_outputs(workspace):
     run = workspace / "run"
     cfg = json.loads((run / "config.json").read_text())

@@ -21,7 +21,7 @@ def keyword_positions(post: list[str]) -> list[int]:
 
 
 def test_vocab_special_ids_pinned():
-    vocab = Vocabulary.from_tokens(["hello", "world"])
+    vocab = Vocabulary(["<pad>", "<unk>", "<eos>", "hello", "world"])
     assert vocab.token_to_id["<pad>"] == PAD_ID == 0
     assert vocab.token_to_id["<unk>"] == UNK_ID == 1
     assert vocab.token_to_id["<eos>"] == EOS_ID == 2
@@ -34,13 +34,13 @@ def test_vocab_too_small_rejected():
 
 
 def test_unknown_token_encodes_to_unk():
-    vocab = Vocabulary.from_tokens(["a", "b"])
+    vocab = Vocabulary(["<pad>", "<unk>", "<eos>", "a", "b"])
     ids = vocab.encode(["a", "never-seen", "b"])
     assert list(ids) == [3, UNK_ID, 4]
 
 
 def test_decode_out_of_range_rejected():
-    vocab = Vocabulary.from_tokens(["a"])
+    vocab = Vocabulary(["<pad>", "<unk>", "<eos>", "a"])
     with pytest.raises(ValidationError):
         vocab.decode([99])
 

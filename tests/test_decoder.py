@@ -377,6 +377,38 @@ def test_greedy_decode_matches_the_composition(monkeypatch, variant):
             assert r.alignment_gap == alignment_gap(coverage[i][real], n, focus_rows[i][real])
 
 
+@pytest.mark.parametrize("variant", ["s2s", "focconstrain"])
+def test_the_references_run_no_fused_node(monkeypatch, variant):
+    model = micro_model(variant, init_scale=0.6)
+    batch = ragged_batch(np.random.default_rng(31), RESPONSES["ragged"])
+    eps = np.random.default_rng(32).standard_normal((batch.size, model.cfg.d_z))
+    eps = eps if variant != "s2s" else None
+    owners = {}  # call name -> the functions that made the rules its nodes recorded
+
+    def taped(name, run):
+        def wrapped(*args):
+            with Tape() as tape:  # a tape of its own, so the nodes are its call's alone
+                out = run(*args)
+            owners[name] = {node.backward.__qualname__.split(".")[0] for node in tape.nodes}
+            return out
+        return wrapped
+
+    def generate(setup, emb, w, init, max_len, focus_rows):
+        taped("reference_greedy_decode", reference_greedy_decode)(setup, emb, w, init, max_len)
+        return greedy_decode(setup, emb, w, init, max_len, focus_rows)
+
+    monkeypatch.setattr(model_module, "encode", taped("encode", model_module.encode))
+    for decode in (decode_train, reference_decode_train):
+        monkeypatch.setattr(model_module, "decode_train", taped(decode.__name__, decode))
+        model.forward_train(batch, eps)
+    monkeypatch.setattr(model_module, "greedy_decode", generate)
+    model.generate_rows(batch.post_ids, batch.post_mask, np.arange(batch.size), eps, 5)
+    # the fused nodes are seen where they run
+    assert "gru_layer" in owners["encode"] and "decode_train" in owners["decode_train"]
+    for name in ("reference_decode_train", "reference_greedy_decode"):
+        assert owners[name] and not owners[name] & {"gru_layer", "decode_train"}, name
+
+
 def test_a_desk_step_records_at_most_120_nodes():
     cfg = TrainConfig(variant="focconstrain", vocab_size=64, d_h=64, d_z=32, batch_size=32)
     model = FocusCVAE(cfg, np.random.default_rng(0))

@@ -86,6 +86,16 @@ def test_encode_empty_sequence_rejected():
         encode(np.array([[3, 4]]), np.array([[False, False]]), emb, weights)
 
 
+def test_encode_takes_a_batch_of_rows():
+    rng = np.random.default_rng(4)
+    emb = make_embedding(rng, 10, 4)
+    weights = init_encoder_weights(rng, 4, 6)
+    for ids, mask in ((np.array([3, 4]), np.array([True, True])),  # one [T] sequence
+                      (np.array([[3, 4]]), np.array([[True, True, True]]))):
+        with pytest.raises(DimensionError):
+            encode(ids, mask, emb, weights)
+
+
 def test_shared_weights_tie_post_and_response():
     rng = np.random.default_rng(5)
     emb = make_embedding(rng, 10, 4)
