@@ -84,6 +84,14 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
+def _check_out(out: Path, *subdirs: str) -> None:
+    """Refuse an --out, or a directory to be made in it, that exists and is
+    not a directory, before any work is done."""
+    for path in (out, *(out / d for d in subdirs)):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"--out: {path} exists and is not a directory")
+
+
 def _load_vocab(explicit: Path | None, near: Path) -> Vocabulary:
     path = explicit if explicit is not None else near.parent / "vocab.json"
     if not path.is_file():
@@ -114,6 +122,7 @@ def _resolved_train_config(args, vocab_len: int) -> TrainConfig:
 
 
 def cmd_make_corpus(args) -> int:
+    _check_out(args.out)
     records, vocab = generate_synthetic(seed=args.seed, n_pairs=args.n_pairs)
     # split before anything is written, so a refused --holdout leaves no --out
     train, test = (split_records(records, args.holdout, seed=args.seed) if args.holdout
@@ -130,6 +139,7 @@ def cmd_make_corpus(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out(args.out)
     _require(args.corpus, "corpus")
     vocab = _load_vocab(args.vocab, args.corpus)
     records = load_jsonl(args.corpus)
@@ -177,6 +187,7 @@ def _model_for_inference(args) -> tuple[FocusCVAE, Vocabulary, int]:
 
 
 def cmd_generate(args) -> int:
+    _check_out(args.out, "alignment")
     model, vocab, max_len = _model_for_inference(args)
     records = load_jsonl(args.corpus)
     posts = [vocab.encode(r.post) for r in records]
@@ -211,6 +222,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out(args.out)
     model, vocab, max_len = _model_for_inference(args)
     records = load_jsonl(args.corpus)
     report = evaluation.evaluate(model, vocab, records, n_samples=args.n_samples,

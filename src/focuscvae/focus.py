@@ -117,22 +117,32 @@ def attend_step(setup: AttentionSetup, s_prev: Array, coverage: Array,
     already-finished sequences sit out a batched step.  The arithmetic is
     that of the composition of tape primitives this replaced, op for op, so
     the values match it bit for bit.
+
+    Nothing is copied per position: the query and coverage projections are
+    broadcast onto a [B, T, d_att] view of the base.  The coverage summary
+    and the context are each one np.einsum("btd,bt->bd") over a [B, T, d]
+    view, in place of scaled [B*T, d] rows summed by `_sum_groups`.  That
+    einsum adds the T products in position order from +0.0, as the sum
+    over the group axis does, so the bits agree, signed zeros included,
+    for every width d >= 2; at d = 1 it takes another path and does not
+    (every state and context width here is at least d_h >= 2).
     """
     b, length = setup.post_mask.shape
     w = setup.weights
-    energy = setup.base.data + np.repeat(s_prev @ w.U_a.data, length, axis=0)
+    energy = setup.base.data.reshape(b, length, -1) + (s_prev @ w.U_a.data)[:, None]
     summary = None
     if w.V_a is not None:
-        summary = _sum_groups(setup.states_flat.data * coverage.reshape(-1, 1), length)
-        energy = energy + np.repeat(summary @ w.V_a.data, length, axis=0)
-    energy = np.tanh(energy)
+        states = setup.states_flat.data.reshape(b, length, -1)
+        summary = np.einsum("btd,bt->bd", states, coverage)
+        energy += (summary @ w.V_a.data)[:, None]
+    energy = np.tanh(energy, out=energy).reshape(b * length, -1)
     scores = (energy @ w.v_a.data).reshape(b, length)
     if not record:
         energy = None  # freed before the context is summed
     if setup.log_focus is not None:
         scores = scores + setup.log_focus.data
     alpha = ad._masked_softmax(scores, setup.post_mask)
-    context = _sum_groups(setup.context_flat.data * alpha.reshape(-1, 1), length)
+    context = np.einsum("btd,bt->bd", setup.context_flat.data.reshape(b, length, -1), alpha)
     keep = None if update_mask is None else np.asarray(update_mask, dtype=np.float64).reshape(b, 1)
     increment = alpha if keep is None else alpha * keep
     saved = (s_prev, coverage, keep, alpha, energy, summary) if record else None
@@ -141,7 +151,8 @@ def attend_step(setup: AttentionSetup, s_prev: Array, coverage: Array,
 
 def _sum_groups(rows: Array, k: int) -> Array:
     """[n*k, d] -> [n, d], summing each consecutive group of k rows; also
-    the gradient of rows repeated k times each."""
+    the gradient of rows repeated k times each.  The sum runs over the
+    middle axis of a [n, k, d] view, so the k rows are added in order."""
     return rows.reshape(-1, k, rows.shape[1]).sum(axis=1)
 
 
@@ -163,6 +174,13 @@ def attend_grads(setup: AttentionSetup, saved: tuple, g_context: Array,
     s_prev and, if coverage_grad, of the coverage it read (else None).
     Every part is the array the composition's tape handed on, and the
     parts come in that tape's order.
+
+    The gradients of the repeated rows are broadcasts, not copies, and the
+    energy rows are summed by group once, for both the query and the
+    coverage summary.  The sums over the last axis (g_read, the gradient
+    of a position's weight) stay multiply-then-sum: numpy sums a
+    contiguous last axis in its own blocked order, which einsum does not
+    reproduce, so an einsum there changes the bits at almost every width.
     """
     b, length = setup.post_mask.shape
     w = setup.weights
@@ -171,10 +189,11 @@ def attend_grads(setup: AttentionSetup, saved: tuple, g_context: Array,
     if g_coverage is not None:
         g_prev = g_coverage if coverage_grad else None
         g_alpha = g_coverage if keep is None else g_coverage * keep
-    g_rows = np.repeat(g_context, length, axis=0)
+    g_rows = g_context[:, None]  # the context's gradient, broadcast over positions
     context_flat = setup.context_flat
-    yield g_rows * alpha.reshape(-1, 1) if context_flat.requires_grad else None
-    g_read = (g_rows * context_flat.data).sum(axis=1).reshape(b, length)
+    yield ((g_rows * alpha[:, :, None]).reshape(b * length, -1)
+           if context_flat.requires_grad else None)
+    g_read = (g_rows * context_flat.data.reshape(b, length, -1)).sum(axis=-1)
     g_alpha = g_read if g_coverage is None else g_alpha + g_read
     dot = (g_alpha * alpha).sum(axis=1, keepdims=True)
     g_scores = alpha * (g_alpha - dot)  # softmax
@@ -183,17 +202,17 @@ def attend_grads(setup: AttentionSetup, saved: tuple, g_context: Array,
     g_scores = g_scores.reshape(b * length, 1)
     yield energy.T @ g_scores if w.v_a.requires_grad else None
     g_energy = (g_scores @ w.v_a.data.T) * (1.0 - energy * energy)  # through tanh
+    g_query = _sum_groups(g_energy, length)  # also the coverage summary's gradient
     if w.V_a is not None:
-        g_summary = _sum_groups(g_energy, length)
-        yield summary.T @ g_summary if w.V_a.requires_grad else None
-        g_rows = np.repeat(g_summary @ w.V_a.data.T, length, axis=0)
+        yield summary.T @ g_query if w.V_a.requires_grad else None
+        g_rows = (g_query @ w.V_a.data.T)[:, None]
         states = setup.states_flat
-        yield g_rows * coverage.reshape(-1, 1) if states.requires_grad else None
+        yield ((g_rows * coverage[:, :, None]).reshape(b * length, -1)
+               if states.requires_grad else None)
         if coverage_grad:
-            g_read = (g_rows * states.data).sum(axis=1).reshape(b, length)
+            g_read = (g_rows * states.data.reshape(b, length, -1)).sum(axis=-1)
             g_prev = g_read if g_prev is None else g_prev + g_read
     yield g_energy if setup.base.requires_grad else None
-    g_query = _sum_groups(g_energy, length)
     yield s_prev.T @ g_query if w.U_a.requires_grad else None
     return g_query @ w.U_a.data.T, g_prev
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from focuscvae import cli
 from focuscvae.cli import main
 from focuscvae.corpus import (EOS_ID, GrammarConfig, Vocabulary, generate_synthetic, load_jsonl,
                               save_jsonl, split_records)
@@ -258,6 +259,45 @@ def test_a_negative_seed_is_refused(workspace, tmp_path, capsys, command):
     assert main(args) == 1
     assert "seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _inference_args(workspace, command):
+    data, run = workspace / "data", workspace / "run"
+    return [command, "--checkpoint", str(run / "checkpoint.bin"),
+            "--corpus", str(data / "test.jsonl")]
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work began before --out was checked")
+
+
+@pytest.mark.parametrize("command", ["make-corpus", "train", "generate", "eval"])
+def test_an_out_that_is_a_file_is_refused_up_front(workspace, tmp_path, capsys, monkeypatch,
+                                                   command):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    for name in ("generate_synthetic", "load_jsonl", "load_checkpoint"):
+        monkeypatch.setattr(cli, name, _no_work)
+    if command == "make-corpus":
+        args = [command, "--n-pairs", "120", "--holdout", "10"]
+    elif command == "train":
+        args = [command, "--corpus", str(workspace / "data" / "corpus.jsonl")]
+    else:
+        args = _inference_args(workspace, command)
+    assert main(args + ["--out", str(out)]) == 1
+    assert f"--out: {out} exists and is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+
+def test_generate_refuses_an_alignment_path_that_is_a_file(workspace, tmp_path, capsys,
+                                                           monkeypatch):
+    out = tmp_path / "gen"
+    out.mkdir()
+    (out / "alignment").write_text("kept\n")
+    monkeypatch.setattr(cli.evaluation, "generate_samples", _no_work)
+    assert main(_inference_args(workspace, "generate") + ["--out", str(out)]) == 1
+    assert f"--out: {out / 'alignment'} exists and is not a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["alignment"]
 
 
 def test_generate_checks_its_sizes(workspace, tmp_path, capsys):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from focuscvae import autodiff as ad
-from focuscvae.autodiff import Tensor, grad_check
+from focuscvae.autodiff import Tape, Tensor, grad_check
 from focuscvae.decoder import decode_train, init_decoder_weights
 from focuscvae.errors import DimensionError, MaskError, ValidationError
 from focuscvae.focus import (
-    AttentionWeights, FocusWeights, alignment_gap, attend_step, build_attention,
-    focus_generate,
+    LOG_FOCUS_FLOOR, AttentionSetup, AttentionWeights, FocusWeights, alignment_gap, attend_grads,
+    attend_step, attention_inputs, build_attention, focus_generate,
 )
+from reference import reference_attend_step
 
 
 def make_focus_weights(rng, d_h, d_z, d_att, scale=0.5, grad=False):
@@ -221,6 +222,90 @@ def test_focus_and_attention_gradients():
 
 def test_focus_prior_attention_gradients():
     _check_focus_attention_gradients(focus_prior=True)
+
+
+def _attention_read_case(rng, b, t, d_h, coverage_term, focus_prior):
+    """An AttentionSetup of leaf tensors over ragged posts, with a query
+    state, a coverage and an update mask that sits some rows out."""
+    lengths = rng.integers(1, t + 1, size=b)
+    lengths[0] = t
+    mask = np.arange(t) < lengths[:, None]
+    leaf = lambda *shape: Tensor(rng.normal(size=shape), requires_grad=True)
+    log_focus = None
+    if focus_prior:
+        focus = np.where(mask, rng.dirichlet(np.ones(t), size=b), 0.0)
+        focus /= focus.sum(axis=1, keepdims=True)
+        log_focus = Tensor(np.log(np.maximum(focus, LOG_FOCUS_FLOOR)), requires_grad=True)
+    # the context is wider than the states, as it is for the latent variants
+    setup = AttentionSetup(
+        base=leaf(b * t, d_h), states_flat=leaf(b * t, d_h), context_flat=leaf(b * t, d_h + 3),
+        post_mask=mask, weights=make_attention_weights(rng, d_h, d_h, coverage_term, grad=True),
+        log_focus=log_focus)
+    # PAD positions hold an exact 0, whose products with negative states are -0.0
+    coverage = np.where(mask, rng.uniform(0.0, 2.0, size=(b, t)), 0.0)
+    keep = (rng.random(b) < 0.7).astype(np.float64)
+    keep[0] = 1.0
+    return setup, rng.normal(size=(b, d_h)), coverage, keep
+
+
+def _drain(parts_then_result):
+    """Every value a generator yields, and what it returns."""
+    parts = []
+    while True:
+        try:
+            parts.append(next(parts_then_result))
+        except StopIteration as stop:
+            return parts, stop.value
+
+
+def _same_bits(got, want) -> bool:
+    return got is None and want is None or (
+        got is not None and want is not None and np.array_equal(got, want)
+        and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["record", "no_record"])
+@pytest.mark.parametrize("focus_prior", [True, False], ids=["focus", "no_focus"])
+@pytest.mark.parametrize("coverage_term", [True, False], ids=["coverage", "no_coverage"])
+@pytest.mark.parametrize("d_h", [2, 64])
+@pytest.mark.parametrize("t", [1, 2, 14])
+@pytest.mark.parametrize("b", [1, 3, 192])
+def test_attention_read_is_bit_identical_to_the_composition(monkeypatch, b, t, d_h,
+                                                            coverage_term, focus_prior, record):
+    rng = np.random.default_rng([b, t, d_h, coverage_term, focus_prior])
+    setup, s_prev, coverage, keep = _attention_read_case(rng, b, t, d_h, coverage_term,
+                                                         focus_prior)
+    g_context = rng.normal(size=(b, d_h + 3))
+    alpha, context, new_coverage, saved = attend_step(setup, s_prev, coverage, keep, record)
+
+    # the composition's energies are the output of its one tanh
+    energies, tanh = [], ad.tanh
+    monkeypatch.setattr(ad, "tanh", lambda x: energies.append(tanh(x)) or energies[-1])
+    # with and without a gradient reaching the updated coverage
+    for g_coverage in (rng.normal(size=(b, t)), None):
+        leaves = [*attention_inputs(setup), Tensor(s_prev, requires_grad=True),
+                  Tensor(coverage, requires_grad=True)]
+        for leaf in leaves:
+            leaf.zero_grad()
+        with Tape() as tape:
+            ref_alpha, ref_context, ref_coverage = reference_attend_step(
+                setup, leaves[-2], leaves[-1], keep)
+            loss = ad.sum_all(ad.mul(ref_context, Tensor(g_context)))
+            if g_coverage is not None:
+                loss = ad.add(loss, ad.sum_all(ad.mul(ref_coverage, Tensor(g_coverage))))
+        for got, want in ((alpha, ref_alpha), (context, ref_context),
+                          (new_coverage, ref_coverage)):
+            assert _same_bits(got, want.data)
+        if not record:
+            assert saved is None
+            return
+        assert _same_bits(saved[4], energies[-1].data)
+
+        tape.backward(loss)
+        parts, (g_query, g_prev) = _drain(attend_grads(setup, saved, g_context, g_coverage, True))
+        assert len(parts) == len(leaves) - 2
+        for part, leaf in zip([*parts, g_query, g_prev], leaves, strict=True):
+            assert _same_bits(part, leaf.grad)
 
 
 def test_alignment_gap_frozen_distances():
