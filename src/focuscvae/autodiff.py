@@ -11,13 +11,13 @@ scalar against tensor.  Row/column broadcasts needed by the model go through
 dedicated primitives (bias_add, scale_rows, repeat_rows) so each backward
 rule stays a couple of lines.
 
-One primitive, `gru_layer`, fuses a GRU recurrence: a bidirectional
-encoder layer with both directions stepping in lockstep.  `masked_mean`
-pools the encoder states, and `decoder.decode_train` records a whole
+`gru_layer` fuses a bidirectional encoder layer, both directions stepping
+in lockstep; `embedding` looks up an encode's every position in one node,
+`masked_mean` pools the states, and `decoder.decode_train` records a whole
 teacher-forced decode as one node over the same step arithmetic.  Their
-hand-written backward passes reproduce the gradients of the op-by-op
-composition bit for bit.  A `focconstrain` training step records 118 nodes
-with them, against 2,164 op by op.
+backward passes reproduce the op-by-op composition's gradients bit for bit.
+A desk step records 100 nodes for `focconstrain` (2,164 op by op), 23 for
+`s2s`.
 """
 
 from __future__ import annotations
@@ -290,34 +290,26 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     return _record((x, b), out, backward)
 
 
-def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    if axis not in (0, 1):
-        raise DimensionError(f"concat: axis must be 0 or 1, got {axis}")
-    parts = [_as_tensor(p) for p in parts]
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """2-d tensors side by side: [n, d_1], ..., [n, d_k] -> [n, d_1 + ... + d_k]."""
     try:
-        out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+        out = Tensor(np.concatenate([p.data for p in parts], axis=1))
     except ValueError as e:
         raise DimensionError(f"concat: {e}") from None
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
     def backward(g: Array):
-        return tuple(
-            (g[offsets[i]:offsets[i + 1]] if axis == 0 else g[:, offsets[i]:offsets[i + 1]])
-            if p.requires_grad else None
-            for i, p in enumerate(parts)
-        )
+        return tuple(g[:, offsets[i]:offsets[i + 1]] if p.requires_grad else None
+                     for i, p in enumerate(parts))
 
     return _record(tuple(parts), out, backward)
 
 
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along axis 0 or 1."""
-    if axis not in (0, 1) or x.data.ndim != 2:
-        raise DimensionError(f"narrow: needs a 2-d tensor and axis 0/1, got {x.shape}, axis {axis}")
-    if start < 0 or start + length > x.shape[axis]:
-        raise DimensionError(f"narrow: [{start}:{start + length}] out of bounds for {x.shape}")
-    sl = (slice(start, start + length), slice(None)) if axis == 0 else (slice(None), slice(start, start + length))
+def narrow(x: Tensor, start: int, length: int) -> Tensor:
+    """Columns start:start+length of a 2-d tensor."""
+    if x.data.ndim != 2 or start < 0 or start + length > x.shape[1]:
+        raise DimensionError(f"narrow: columns [{start}:{start + length}] of {x.shape}")
+    sl = (slice(None), slice(start, start + length))
     out = Tensor(x.data[sl].copy())
 
     def backward(g: Array):
@@ -400,21 +392,33 @@ def sum_all(x: Tensor) -> Tensor:
     return _record((x,), out, lambda g: (np.full_like(x.data, float(g)),))
 
 
+def _scatter(table: Array, ids: Array, g: Array) -> Array:
+    """The gradient g of rows table[ids] added into a zero table, in row order."""
+    buf = np.zeros_like(table)
+    np.add.at(buf, ids, g)
+    return buf
+
+
 def embedding(table: Tensor, ids: Array) -> Tensor:
-    """Row lookup table[ids]; backward scatter-adds into the table."""
+    """Row lookups of an [n, k] id block as [n, k*d] rows, column j of ids
+    in columns j*d:(j+1)*d.  The table is listed k times and the backward
+    yields one scatter per id column, last column first: the parts, in the
+    order, that k one-column lookups and their concat handed the tape."""
     ids = np.asarray(ids)
-    if ids.ndim != 1:
-        raise DimensionError(f"embedding: ids must be 1-d, got shape {ids.shape}")
+    if ids.ndim != 2 or table.data.ndim != 2:
+        raise DimensionError(f"embedding: needs [n, k] ids and a 2-d table, "
+                             f"got {ids.shape} and {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise DomainError(f"embedding: id out of range for table with {table.shape[0]} rows")
-    out = Tensor(table.data[ids])
+    n, k = ids.shape
+    d = table.shape[1]
+    out = Tensor(table.data[ids].reshape(n, k * d))
 
     def backward(g: Array):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, ids, g)
-        return (buf,)
+        for j in range(k - 1, -1, -1):
+            yield _scatter(table.data, ids[:, j], g[:, j * d:(j + 1) * d])
 
-    return _record((table,), out, backward)
+    return _record((table,) * k, out, backward)
 
 
 def pick(x: Tensor, idx: Array) -> Tensor:
@@ -516,7 +520,7 @@ def _sigmoid(d: Array, out: Array | None = None) -> Array:
 
 
 def _gru_step(xw: Array, h: Array, U: Array, b: Array,
-              keep: Array | None, drop: Array | None) -> tuple[Array, Array, Array, Array]:
+              keep: Array | None, drop: Array | None) -> tuple[Array, Array, Array]:
     """One GRU step on arrays, the one definition of its forward arithmetic.
 
     h is [..., B, u], and U stacks (U_u, U_r, U_h) on a new first axis.
@@ -525,7 +529,7 @@ def _gru_step(xw: Array, h: Array, U: Array, b: Array,
     are [..., B, 1] mask columns, or None.  Leading axes stack independent
     cells, as `gru_layer` stacks its two directions: every product is
     still one 2-d matmul per cell and the rest is elementwise, so stacking
-    changes no bit.  Returns (h', ur, c, 1 - u), where ur stacks u and r.
+    changes no bit.  Returns (h', ur, c), where ur stacks u and r.
     With all-zero weights a step halves the state (u = 0.5, c = 0).
     """
     ur = h @ U[:2]
@@ -537,27 +541,28 @@ def _gru_step(xw: Array, h: Array, U: Array, b: Array,
     c += xw[2]
     c += b[2]
     np.tanh(c, out=c)
-    omu = 1.0 - u
-    h_new = omu * h
+    h_new = (1.0 - u) * h
     h_new += u * c
     if keep is not None:
         # masked carry: a row whose keep is 0 passes its state through
         h_new *= keep
         h_new += h * drop
-    return h_new, ur, c, omu
+    return h_new, ur, c
 
 
-def _gru_step_grads(g: Array, h: Array, ur: Array, c: Array, omu: Array,
-                    keep: Array | None, drop: Array | None, U: Array, dg: Array,
-                    h_parts: bool) -> list[Array]:
+def _gru_step_grads(g: Array, h: Array, ur: Array, c: Array,
+                    keep: Array | None, drop: Array | None, U: Array,
+                    h_parts: bool) -> tuple[Array, list[Array]]:
     """Backward of `_gru_step` for the gradient g of h'.
 
-    Writes the gradients of the three pre-activations (u, r, candidate) into
-    dg[0], dg[1], dg[2] and returns, if h_parts, the parts of h's gradient in
-    the order the op-by-op composition's tape added them: carry (masked
-    steps only), (1-u)*h, r*h, U_r, U_u.
+    Returns (dg, parts): dg stacks the three pre-activations' gradients
+    (u, r, candidate) as [gate u/r/h, *h.shape], and parts are, if h_parts,
+    the parts of h's gradient in the order the op-by-op composition's tape
+    added them: carry (masked steps only), (1-u)*h, r*h, U_r, U_u.
     """
     u, r = ur
+    omu = 1.0 - u
+    dg = np.empty((3, *h.shape))
     du, dr, dc = dg
     U_T = np.swapaxes(U, -1, -2)
     parts = []
@@ -583,7 +588,7 @@ def _gru_step_grads(g: Array, h: Array, ur: Array, c: Array, omu: Array,
     du *= omu                          # pre-sigmoid
     if h_parts:
         parts.append(du @ U_T[0])
-    return parts
+    return dg, parts
 
 
 def _gate_stacks(cells: Sequence[GRUCellWeights]) -> tuple[Array, Array, Array]:
@@ -649,10 +654,10 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights]) -> Tensor:
     in place, one matmul per cell.
 
     Per step the node keeps only the gates u, r and the candidate c.  Its
-    backward rebuilds, once per call, what else it reads: 1 - u, the state
-    before each step from the node's own output, x by step from x, and the
-    gate stacks from the cells' weights.  Each rebuilt array has the layout
-    the forward's had, so every matmul rounds as it did there.
+    backward rebuilds, once per call, what else it reads: the state before
+    each step from the node's own output, x by step from x, and the gate
+    stacks from the cells' weights.  Each rebuilt array has the layout the
+    forward's had, so every matmul rounds as it did there.
 
     Outputs and gradients are bit-identical to the op-by-op composition
     (matmul, add, bias_add, sigmoid, tanh, mul, neg, scale_rows, concat):
@@ -695,7 +700,7 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights]) -> Tensor:
     saved = []  # (ur, c) of each step, kept only for a backward pass
     h = h_first
     for i in range(t):
-        h, ur, c, _ = _gru_step(xw[i], h, U, bias, keep[i], drop[i])
+        h, ur, c = _gru_step(xw[i], h, U, bias, keep[i], drop[i])
         if recording:
             saved.append((ur, c))
         out[:, i, 0] = h[0]
@@ -725,8 +730,7 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights]) -> Tensor:
                 gh += part
             ur, c = saved[i]
             h = before[i - 1] if i else h_first
-            dg = np.empty((3, 2, b, units))  # [gate u/r/h, direction, B, u]
-            h_parts = _gru_step_grads(gh, h, ur, c, 1.0 - ur[0], keep[i], drop[i], U, dg, i > 0)
+            dg, h_parts = _gru_step_grads(gh, h, ur, c, keep[i], drop[i], U, i > 0)
             w_grads.append(_gru_weight_grads(xd[i], h, ur, dg))
             if x_rg:
                 np.matmul(dg[:, 0], W_T[:, 0], out=px[::-1, 0, :, i])

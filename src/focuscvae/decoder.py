@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import (Array, GRUCellWeights, Tensor, _cell_inputs, _cell_parts, _gate_stacks,
-                       _gru_step, _gru_step_grads, _gru_weight_grads)
+                       _gru_step, _gru_step_grads, _gru_weight_grads, _scatter)
 from .corpus import EOS_ID, PAD_ID
 from .encoders import AffineWeights, affine, init_gru_cell
 from .errors import ValidationError
@@ -54,7 +54,7 @@ def initial_states(conditioning: Tensor, w: DecoderWeights) -> list[Tensor]:
     """tanh(affine(conditioning)) split into the two layers' starting states."""
     s = ad.tanh(affine(conditioning, w.init))
     d_h = s.shape[1] // 2
-    return [ad.narrow(s, 1, 0, d_h), ad.narrow(s, 1, d_h, d_h)]
+    return [ad.narrow(s, 0, d_h), ad.narrow(s, d_h, d_h)]
 
 
 def _decode_step(setup: AttentionSetup, stacks: list[tuple[Array, Array, Array]],
@@ -74,7 +74,7 @@ def _decode_step(setup: AttentionSetup, stacks: list[tuple[Array, Array, Array]]
                                                      record)
     new_states, cells = [], []
     for (W, U, b), h in zip(stacks, states):
-        h_new, ur, c, _ = _gru_step(x @ W, h, U, b, None, None)
+        h_new, ur, c = _gru_step(x @ W, h, U, b, None, None)
         cells.append((x, h, ur, c))
         new_states.append(h_new)
         x = h_new[0]
@@ -160,9 +160,8 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
             for i in (1, 0):  # the top cell first, as the tape visited them
                 x, h, ur, c = cells[i]
                 W, U, _ = stacks[i]
-                dg = np.empty((3, 1, b, h.shape[2]))  # [gate u/r/h, cell, B, u]
-                h_parts = _gru_step_grads(_fold(later[i])[None], h, ur, c, 1.0 - ur[0], None,
-                                          None, U, dg, t > 0 or init[i].requires_grad)
+                dg, h_parts = _gru_step_grads(_fold(later[i])[None], h, ur, c, None, None, U,
+                                              t > 0 or init[i].requires_grad)
                 later[i] = [p[0] for p in h_parts]
                 if t == 0:  # the initial state's parts
                     yield from later[i] or [None] * 4
@@ -175,9 +174,7 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
             if not table.requires_grad:
                 yield None
             elif t:
-                part = np.zeros_like(emb_table.data)
-                np.add.at(part, resp_ids[:, t - 1], _fold(list(g_x)))
-                yield part
+                yield _scatter(emb_table.data, resp_ids[:, t - 1], _fold(list(g_x)))
             else:
                 yield _fold(list(g_x)).reshape(1, b, -1).sum(axis=1)
             g_query, g_cov = yield from attend_grads(setup, attended, g_rows[:, d_h:], g_cov, t > 0)
@@ -185,8 +182,8 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
         yield g_query if init[1].requires_grad else None
 
     node = ad._record(tuple(inputs), Tensor(out), backward)
-    logits = ad.reshape(ad.narrow(node, 1, 0, t_max * vocab), (b * t_max, vocab))
-    return logits, ad.narrow(node, 1, t_max * vocab, length), alphas
+    logits = ad.reshape(ad.narrow(node, 0, t_max * vocab), (b * t_max, vocab))
+    return logits, ad.narrow(node, t_max * vocab, length), alphas
 
 
 @dataclass

@@ -1,13 +1,12 @@
 """Shared bidirectional GRU encoders and the Gaussian latent machinery.
 
 Post and response run through the *same* stacked bidirectional GRU (one
-parameter set).  Each layer is one `gru_layer` node over a (forward,
-backward) cell pair whose mask carries both directions' states unchanged
-through PAD positions, so padding never leaks into them, and the masked
-mean over positions is one `masked_mean` node.  The pooled encodings feed
-two affine heads: recognition (post + response, training only) and prior
-(post only), each emitting mean and log-variance of a diagonal Gaussian
-over the latent z.
+parameter set): one `embedding` node for the word lookups, one `gru_layer`
+node per layer over a (forward, backward) cell pair whose mask carries both
+directions' states unchanged through PAD positions, and one `masked_mean`
+node for the mean over positions.  The pooled encodings feed two affine
+heads: recognition (post + response, training only) and prior (post only),
+each emitting mean and log-variance of a diagonal Gaussian over the latent z.
 """
 
 from __future__ import annotations
@@ -86,8 +85,9 @@ class EncoderOutputs:
 def encode(token_ids, mask, emb_table: Tensor, weights: EncoderWeights) -> EncoderOutputs:
     """Run the stacked bidirectional encoder over a padded batch.
 
-    Takes [B, T] token ids and a boolean mask of the same shape.  Each layer
-    is one `gru_layer` node.  Position i of the output concatenates the
+    Takes [B, T] token ids and a boolean mask of the same shape.  The
+    lookups are one `embedding` node and each layer one `gru_layer` node.
+    Position i of the output concatenates the
     forward state after reading tokens 1..i with the backward state after
     reading T..i; the pooled vector is the mean over unmasked positions.
     """
@@ -100,7 +100,7 @@ def encode(token_ids, mask, emb_table: Tensor, weights: EncoderWeights) -> Encod
         raise ValidationError("every sequence needs at least one unmasked token")
 
     # [B, T*width] rows, position i in the i-th block of columns
-    h = ad.concat([ad.embedding(emb_table, ids[:, i]) for i in range(t)], axis=1)
+    h = ad.embedding(emb_table, ids)
     for cells in weights.layers:
         h = gru_layer(h, m, cells)
     flat = ad.reshape(h, (b * t, h.shape[1] // t))
@@ -121,15 +121,15 @@ def _gaussian_head(x: Tensor, w: AffineWeights, d_z: int) -> GaussianParams:
     out = affine(x, w)
     if out.shape[1] != 2 * d_z:
         raise DimensionError(f"gaussian head emits {out.shape[1]} columns, expected {2 * d_z}")
-    mu = ad.narrow(out, 1, 0, d_z)
-    log_var = ad.clamp(ad.narrow(out, 1, d_z, d_z), LOG_VAR_MIN, LOG_VAR_MAX)
+    mu = ad.narrow(out, 0, d_z)
+    log_var = ad.clamp(ad.narrow(out, d_z, d_z), LOG_VAR_MIN, LOG_VAR_MAX)
     return GaussianParams(mu, log_var)
 
 
 def recognition(pooled_post: Tensor, pooled_resp: Tensor, w: AffineWeights,
                 d_z: int) -> GaussianParams:
     """q(z | x, y) from the concatenated pooled encodings. Training only."""
-    return _gaussian_head(ad.concat([pooled_post, pooled_resp], axis=1), w, d_z)
+    return _gaussian_head(ad.concat([pooled_post, pooled_resp]), w, d_z)
 
 
 def prior(pooled_post: Tensor, w: AffineWeights, d_z: int) -> GaussianParams:

@@ -105,11 +105,12 @@ def build_attention(states_flat: Tensor, context_flat: Tensor, post_mask: np.nda
 
 
 def attend_step(setup: AttentionSetup, s_prev: Array, coverage: Array,
-                update_mask: Array | None = None, record: bool = False
+                update_mask: Array, record: bool = False
                 ) -> tuple[Array, Array, Array, tuple | None]:
     """One attention read on arrays, with the query state s_prev [B, d_h];
     coverage [B, T] is the running sum of the earlier steps' attention
-    weights (zeros before the first step).
+    weights (zeros before the first step), and update_mask holds one 0/1
+    per row.
 
     Returns (alpha [B, T], context, updated coverage, saved), saved being
     what `attend_grads` reads if record, else None.  Rows where
@@ -143,10 +144,9 @@ def attend_step(setup: AttentionSetup, s_prev: Array, coverage: Array,
         scores = scores + setup.log_focus.data
     alpha = ad._masked_softmax(scores, setup.post_mask)
     context = np.einsum("btd,bt->bd", setup.context_flat.data.reshape(b, length, -1), alpha)
-    keep = None if update_mask is None else np.asarray(update_mask, dtype=np.float64).reshape(b, 1)
-    increment = alpha if keep is None else alpha * keep
+    keep = np.asarray(update_mask, dtype=np.float64).reshape(b, 1)
     saved = (s_prev, coverage, keep, alpha, energy, summary) if record else None
-    return alpha, context, coverage + increment, saved
+    return alpha, context, coverage + alpha * keep, saved
 
 
 def _sum_groups(rows: Array, k: int) -> Array:
@@ -188,7 +188,7 @@ def attend_grads(setup: AttentionSetup, saved: tuple, g_context: Array,
     g_prev = None  # coverage's gradient: the add node passes it on first
     if g_coverage is not None:
         g_prev = g_coverage if coverage_grad else None
-        g_alpha = g_coverage if keep is None else g_coverage * keep
+        g_alpha = g_coverage * keep
     g_rows = g_context[:, None]  # the context's gradient, broadcast over positions
     context_flat = setup.context_flat
     yield ((g_rows * alpha[:, :, None]).reshape(b * length, -1)
@@ -221,32 +221,27 @@ def attend_grads(setup: AttentionSetup, saved: tuple, g_context: Array,
 # alignment diagnostic (plain numpy; nothing here needs gradients)
 
 
-def alignment_gap(coverage: np.ndarray, resp_len, focus: np.ndarray,
-                  mask: np.ndarray | None = None):
-    """L2 norm over the last axis of coverage/resp_len - focus: accumulated
-    attention, normalized by decode length, against the focus.
-
-    coverage and focus are [T] or rows [B, T], resp_len an int or one per
-    row; positions where mask is False add an exact +0.0.  The squared
-    differences are summed left to right in position order (np.sum would
-    add in pairwise blocks of eight), so each gap equals a token-by-token
-    recount bitwise.  Returns a float for one row, else an array of B.
-    """
+def alignment_gap(coverage: np.ndarray, resp_len: np.ndarray, focus: np.ndarray,
+                  mask: np.ndarray) -> np.ndarray:
+    """Per row of [B, T] arrays, the L2 norm of coverage/resp_len - focus
+    where mask is True: accumulated attention, normalized by decode length,
+    against the focus.  The squared differences are summed left to right in
+    position order, masked positions adding an exact +0.0 (np.sum would add
+    in pairwise blocks of eight), so each gap equals a token-by-token
+    recount bitwise."""
     coverage = np.asarray(coverage, dtype=np.float64)
     focus = np.asarray(focus, dtype=np.float64)
     resp_len = np.asarray(resp_len, dtype=np.float64)
-    if coverage.shape != focus.shape or (mask is not None and np.shape(mask) != focus.shape):
+    if coverage.ndim != 2 or coverage.shape != focus.shape or np.shape(mask) != focus.shape:
         raise DimensionError(f"coverage {coverage.shape} vs focus {focus.shape}"
-                             f" vs mask {None if mask is None else np.shape(mask)}")
-    if resp_len.shape not in ((), coverage.shape[:-1]):
-        raise DimensionError(f"resp_len {resp_len.shape} for coverage rows {coverage.shape[:-1]}")
+                             f" vs mask {np.shape(mask)}: need one [B, T] shape")
+    if resp_len.shape != coverage.shape[:1]:
+        raise DimensionError(f"resp_len {resp_len.shape} for coverage rows {coverage.shape[:1]}")
     if np.any(resp_len < 1):
         raise ValidationError(f"resp_len must be positive, got {resp_len}")
-    diff = coverage / resp_len[..., None] - focus
-    squares = diff * diff
-    if mask is not None:
-        squares = np.where(mask, squares, 0.0)
-    total = np.zeros(coverage.shape[:-1])
-    for column in np.moveaxis(squares, -1, 0):
+    diff = coverage / resp_len[:, None] - focus
+    squares = np.where(mask, diff * diff, 0.0)
+    total = np.zeros(len(coverage))
+    for column in squares.T:
         total += column
     return np.sqrt(total)

@@ -141,15 +141,9 @@ class FocusCVAE:
     def encode_sequences(self, ids: np.ndarray, mask: np.ndarray) -> EncoderOutputs:
         return encode(ids, mask, self.embedding, self.encoder)
 
-    def latent_posterior(self, post_enc: EncoderOutputs, resp_enc: EncoderOutputs
-                         ) -> tuple[GaussianParams, GaussianParams]:
-        q = recognition(post_enc.pooled, resp_enc.pooled, self.recognition, self.cfg.d_z)
-        p = prior(post_enc.pooled, self.prior, self.cfg.d_z)
-        return q, p
-
     def _conditioning(self, post_enc: EncoderOutputs, z: Tensor | None) -> Tensor:
         if z is not None:
-            return ad.concat([post_enc.pooled, z], axis=1)
+            return ad.concat([post_enc.pooled, z])
         return post_enc.pooled
 
     def _focus_and_setup(self, post_enc: EncoderOutputs, post_ids: np.ndarray,
@@ -161,8 +155,8 @@ class FocusCVAE:
         # each position is annotated with its word embedding as well as its
         # encoder state; the focus keys and the attention context read both,
         # so focusing a keyword hands the decoder that word itself
-        words = ad.embedding(self.embedding, np.asarray(post_ids).reshape(-1))
-        annotated = ad.concat([states, words], axis=1)
+        words = ad.embedding(self.embedding, np.asarray(post_ids).reshape(-1, 1))
+        annotated = ad.concat([states, words])
         f = focus_generate(annotated, post_mask, z, self.focus)
         return f, build_attention(states, annotated, post_mask, self.attention, focus=f)
 
@@ -171,7 +165,8 @@ class FocusCVAE:
         post_enc = self.encode_sequences(batch.post_ids, batch.post_mask)
         if uses_latent(self.cfg.variant):
             resp_enc = self.encode_sequences(batch.resp_ids, batch.resp_mask)
-            q, p = self.latent_posterior(post_enc, resp_enc)
+            q = recognition(post_enc.pooled, resp_enc.pooled, self.recognition, self.cfg.d_z)
+            p = prior(post_enc.pooled, self.prior, self.cfg.d_z)
             z = sample(q, eps)
         else:
             q = p = z = None
@@ -182,7 +177,7 @@ class FocusCVAE:
         return ForwardPass(logits_flat, coverage, alphas, f, q, p, z, post_enc)
 
     def bow_logits(self, z: Tensor, post_enc: EncoderOutputs) -> Tensor:
-        h = ad.tanh(ad.bias_add(ad.matmul(ad.concat([z, post_enc.pooled], axis=1),
+        h = ad.tanh(ad.bias_add(ad.matmul(ad.concat([z, post_enc.pooled]),
                                           self.bow.W1), self.bow.b1))
         return ad.bias_add(ad.matmul(h, self.bow.W2), self.bow.b2)
 
@@ -218,6 +213,6 @@ def _rows_of(enc: EncoderOutputs, rows: np.ndarray) -> EncoderOutputs:
     """The encodings of sequences `rows`, one output row each, gathered with
     row lookups: each sequence's states are one [T*d_h] row for the lookup."""
     b, t, d_h = enc.batch, enc.length, enc.states_flat.shape[1]
-    states = ad.embedding(ad.reshape(enc.states_flat, (b, t * d_h)), rows)
+    states = ad.embedding(ad.reshape(enc.states_flat, (b, t * d_h)), rows[:, None])
     return EncoderOutputs(ad.reshape(states, (len(rows) * t, d_h)),
-                          ad.embedding(enc.pooled, rows), len(rows), t)
+                          ad.embedding(enc.pooled, rows[:, None]), len(rows), t)

@@ -69,12 +69,16 @@ def seq_loss(logits_flat: Tensor, gold_flat: np.ndarray, mask_flat: np.ndarray) 
             f"{gold.shape[0]} gold tokens for {logits_flat.shape[0]} logit rows")
     if gold.min() < 0 or gold.max() >= logits_flat.shape[1]:
         raise ValidationError(f"gold token id outside vocabulary of {logits_flat.shape[1]}")
-    count = int(mask.sum())
-    if count == 0:
+    if not mask.any():
         raise ValidationError("sequence loss needs at least one unmasked position")
-    picked = ad.pick(ad.log_softmax(logits_flat), gold)
+    return _masked_mean_nll(ad.log_softmax(logits_flat), gold, mask)
+
+
+def _masked_mean_nll(log_probs: Tensor, gold: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Minus the mean of log_probs[i, gold[i]] over the rows i where mask is on."""
+    picked = ad.pick(log_probs, gold)
     kept = ad.scale_rows(picked, Tensor(mask.astype(np.float64)))
-    return ad.mul(ad.sum_all(kept), -1.0 / count)
+    return ad.mul(ad.sum_all(kept), -1.0 / int(mask.sum()))
 
 
 def focus_loss(coverage: Tensor, resp_lengths: np.ndarray, focus: Tensor) -> Tensor:
@@ -98,13 +102,10 @@ def bow_loss(bow_logits: Tensor, resp_ids: np.ndarray, resp_mask: np.ndarray) ->
     if bow_logits.shape[0] != b:
         raise ValidationError(f"{bow_logits.shape[0]} logit rows for batch of {b}")
     mask = np.asarray(resp_mask, dtype=bool) & (resp_ids != EOS_ID)
-    count = int(mask.sum())
-    if count == 0:
+    if not mask.any():
         return Tensor(0.0)
     lsm = ad.log_softmax(bow_logits)
-    picked = ad.pick(ad.repeat_rows(lsm, t), resp_ids.reshape(-1))
-    kept = ad.scale_rows(picked, Tensor(mask.reshape(-1).astype(np.float64)))
-    return ad.mul(ad.sum_all(kept), -1.0 / count)
+    return _masked_mean_nll(ad.repeat_rows(lsm, t), resp_ids.reshape(-1), mask.reshape(-1))
 
 
 @dataclass
@@ -153,26 +154,27 @@ def total_loss(model: FocusCVAE, batch: Batch, eps: np.ndarray | None,
 # optimizer
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam with bias correction; update order follows parameter order."""
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else 0.0
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            p.data = p.data - lr * (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.eps)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+            p.data = p.data - lr * (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + ADAM_EPS)
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:

@@ -61,7 +61,7 @@ def reference_gru_cell(x, h_prev, w, keep=None):
     return ad.add(ad.scale_rows(h_new, Tensor(keep)), ad.scale_rows(h_prev, Tensor(1.0 - keep)))
 
 
-def reference_attend_step(setup, s_prev: Tensor, coverage: Tensor, update_mask=None):
+def reference_attend_step(setup, s_prev: Tensor, coverage: Tensor, update_mask):
     """One attention read as tape primitives: (alpha, context, coverage)."""
     b, length = setup.post_mask.shape
     energy = ad.add(setup.base, ad.repeat_rows(ad.matmul(s_prev, setup.weights.U_a), length))
@@ -75,9 +75,8 @@ def reference_attend_step(setup, s_prev: Tensor, coverage: Tensor, update_mask=N
     alpha = ad.softmax(scores, setup.post_mask)
     context = sum_groups(
         ad.scale_rows(setup.context_flat, ad.reshape(alpha, (b * length, 1))), length)
-    increment = alpha if update_mask is None else ad.scale_rows(
-        alpha, Tensor(np.asarray(update_mask, dtype=np.float64).reshape(b, 1)))
-    return alpha, context, ad.add(coverage, increment)
+    keep = Tensor(np.asarray(update_mask, dtype=np.float64).reshape(b, 1))
+    return alpha, context, ad.add(coverage, ad.scale_rows(alpha, keep))
 
 
 def reference_decode_step(setup, states, coverage, t, prev, emb_table, w, update_mask):
@@ -86,10 +85,10 @@ def reference_decode_step(setup, states, coverage, t, prev, emb_table, w, update
     [state; context].  Returns (logits, alpha, states, coverage)."""
     alpha, context, coverage = reference_attend_step(setup, states[-1], coverage, update_mask)
     b = setup.post_mask.shape[0]
-    x = ad.repeat_rows(w.start, b) if t == 1 else ad.embedding(emb_table, prev)
+    x = ad.repeat_rows(w.start, b) if t == 1 else ad.embedding(emb_table, prev[:, None])
     s0 = reference_gru_cell(x, states[0], w.cells[0])
     s1 = reference_gru_cell(s0, states[1], w.cells[1])
-    logits = affine(ad.concat([s1, context], axis=1), w.out)
+    logits = affine(ad.concat([s1, context]), w.out)
     return logits, alpha, [s0, s1], coverage
 
 
@@ -106,7 +105,7 @@ def reference_decode_train(resp_ids, resp_mask, setup, emb_table, w, init):
         step_logits.append(logits)
         alphas.append(alpha)
     vocab = step_logits[0].shape[1]
-    logits_flat = ad.reshape(ad.concat(step_logits, axis=1), (b * t_max, vocab))
+    logits_flat = ad.reshape(ad.concat(step_logits), (b * t_max, vocab))
     return logits_flat, coverage, alphas
 
 

@@ -246,12 +246,10 @@ PRIMITIVE_CASES = [
                             lambda: scalar_loss(ad.tanh(ad.matmul(a, b))), {"a": a, "b": b})),
     ("bias_add", lambda rng: ((a := _rand(rng, (3, 4))), (b := _rand(rng, (4,))),
                               lambda: scalar_loss(ad.tanh(ad.bias_add(a, b))), {"a": a, "b": b})),
-    ("concat0", lambda rng: ((a := _rand(rng, (2, 3))), (b := _rand(rng, (4, 3))),
-                             lambda: scalar_loss(ad.tanh(ad.concat([a, b], axis=0))), {"a": a, "b": b})),
-    ("concat1", lambda rng: ((a := _rand(rng, (3, 2))), (b := _rand(rng, (3, 4))),
-                             lambda: scalar_loss(ad.tanh(ad.concat([a, b], axis=1))), {"a": a, "b": b})),
+    ("concat", lambda rng: ((a := _rand(rng, (3, 2))), (b := _rand(rng, (3, 4))),
+                            lambda: scalar_loss(ad.tanh(ad.concat([a, b]))), {"a": a, "b": b})),
     ("narrow", lambda rng: ((a := _rand(rng, (4, 5))), None,
-                            lambda: scalar_loss(ad.mul(ad.narrow(a, 1, 1, 3), ad.narrow(a, 1, 2, 3))), {"a": a})),
+                            lambda: scalar_loss(ad.mul(ad.narrow(a, 1, 3), ad.narrow(a, 2, 3))), {"a": a})),
     ("reshape", lambda rng: ((a := _rand(rng, (3, 4))), None,
                              lambda: scalar_loss(ad.tanh(ad.reshape(a, (6, 2)))), {"a": a})),
     ("repeat_rows", lambda rng: ((a := _rand(rng, (3, 2))), None,
@@ -271,7 +269,8 @@ PRIMITIVE_CASES = [
                                  lambda: scalar_loss(ad.mul(ad.log_softmax(a),
                                                             ad.softmax(a, ALL_ON))), {"a": a})),
     ("embedding", lambda rng: ((t := _rand(rng, (6, 3))), None,
-                               lambda: scalar_loss(ad.tanh(ad.embedding(t, np.array([0, 2, 2, 5, 1])))), {"t": t})),
+                               lambda: scalar_loss(ad.tanh(ad.embedding(
+                                   t, np.array([[0, 2, 5], [2, 2, 1]])))), {"t": t})),
     ("pick", lambda rng: ((a := _rand(rng, (4, 5))), None,
                           lambda: scalar_loss(ad.mul(ad.pick(a, np.array([0, 4, 2, 2])),
                                                      ad.pick(a, np.array([1, 4, 0, 2])))), {"a": a})),
@@ -312,7 +311,7 @@ def test_gru_cell_zero_weights_halve_state():
     )
     W, U, b = ad._gate_stacks([w])
     v = np.array([[[0.2, -0.4, 1.0, 3.0]]])  # [cell, B, u]
-    h, _, _, _ = ad._gru_step(np.ones((1, d_in)) @ W, v, U, b, None, None)
+    h, _, _ = ad._gru_step(np.ones((1, d_in)) @ W, v, U, b, None, None)
     np.testing.assert_allclose(h, 0.5 * v, atol=1e-15)
 
 
@@ -334,9 +333,8 @@ def test_fused_gru_cell_is_bit_identical_to_the_composition(masked):
 
     W, U, bias = ad._gate_stacks([w])
     keep, drop = (None, None) if keep is None else (keep[None], 1.0 - keep[None])
-    h_new, ur, c, omu = ad._gru_step(x.data @ W, h.data[None], U, bias, keep, drop)
-    dg = np.empty((3, 1, b, d_h))
-    h_parts = ad._gru_step_grads(probe[None], h.data[None], ur, c, omu, keep, drop, U, dg, True)
+    h_new, ur, c = ad._gru_step(x.data @ W, h.data[None], U, bias, keep, drop)
+    dg, h_parts = ad._gru_step_grads(probe[None], h.data[None], ur, c, keep, drop, U, True)
     assert h_new[0].tobytes() == ref.data.tobytes()
     assert _fold(h_parts)[0].tobytes() == h.grad.tobytes()
     assert _fold([dg[k, 0] @ W[k, 0].T for k in (2, 1, 0)]).tobytes() == x.grad.tobytes()
@@ -354,16 +352,16 @@ def test_sigmoid_matches_the_two_branch_form_bitwise():
         assert ad._sigmoid(d).tobytes() == reference_sigmoid_data(d).tobytes()
 
 
-# the encoder as it was before its fused layer, kept as its reference: one cell
-# node per step and direction, a concat per position, and pooling by a
-# chain of scale_rows and add
+# the encoder as it was before its fused nodes, kept as its reference: a
+# one-column lookup per position, one cell node per step and direction, a
+# concat per position, and pooling by a chain of scale_rows and add
 
 
 def reference_encode(ids, mask, emb, weights):
     b, t = ids.shape
     units = weights.layers[0][0].U_u.shape[0]
     keeps = [mask[:, i:i + 1].astype(np.float64) for i in range(t)]
-    outputs = [ad.embedding(emb, ids[:, i]) for i in range(t)]
+    outputs = [ad.embedding(emb, ids[:, i:i + 1]) for i in range(t)]
     for fwd_w, bwd_w in weights.layers:
         states = [[None] * t, [None] * t]
         for d, (w, order) in enumerate(((fwd_w, range(t)), (bwd_w, range(t - 1, -1, -1)))):
@@ -371,8 +369,8 @@ def reference_encode(ids, mask, emb, weights):
             for i in order:
                 h = reference_gru_cell(outputs[i], h, w, keeps[i])
                 states[d][i] = h
-        outputs = [ad.concat([f, k], axis=1) for f, k in zip(*states)]
-    flat = ad.reshape(ad.concat(outputs, axis=1), (b * t, 2 * units))
+        outputs = [ad.concat([f, k]) for f, k in zip(*states)]
+    flat = ad.reshape(ad.concat(outputs), (b * t, 2 * units))
     acc = None
     for i, state in enumerate(outputs):
         masked = ad.scale_rows(state, Tensor(keeps[i]))
@@ -416,7 +414,7 @@ def _encode_case(case, encoder):
     with Tape() as tape:
         outs = [encoder(ids, mask, emb, weights) for ids, mask in batches]
         n_nodes = len(tape.nodes)
-        loss = ad.sum_all(ad.tanh(ad.embedding(emb, batches[0][0].reshape(-1))))
+        loss = ad.sum_all(ad.tanh(ad.embedding(emb, batches[0][0].reshape(-1, 1))))
         for (flat, pooled), probe in zip(outs, probes):
             loss = ad.add(loss, ad.sum_all(ad.mul(ad.tanh(flat), probe)))
             loss = ad.add(loss, ad.sum_all(ad.mul(pooled, pooled)))
@@ -436,13 +434,47 @@ def test_bigru_layer_encode_is_bit_identical_to_the_per_step_nodes(name):
     case = ENCODE_CASES[name]
     outs, grads, nodes = _encode_case(case, _encode_layer)
     ref_outs, ref_grads, _ = _encode_case(case, reference_encode)
-    # T embeddings, their concat, one node per layer, the reshape and the mean
-    assert nodes == sum(t + 3 + case["n_layers"] for t, _ in case["batches"])
+    # the lookup, one node per layer, the reshape and the mean
+    assert nodes == sum(3 + case["n_layers"] for _ in case["batches"])
     for a, b in zip(outs, ref_outs):
         assert np.array_equal(a, b)
     assert grads.keys() == ref_grads.keys()
     for k in grads:
         assert np.array_equal(grads[k], ref_grads[k]), k
+
+
+def test_embedding_block_is_bit_identical_to_one_column_lookups_and_their_concat():
+    # four id columns; id 3 repeats within column 0 and across columns 0, 2
+    # and 3.  A second lookup, recorded after the block, is visited first, so
+    # the block's parts are added onto a gradient the table already holds.
+    rng = np.random.default_rng(41)
+    ids = np.array([[3, 0, 5, 3], [3, 1, 3, 2], [4, 0, 3, 6], [1, 3, 2, 3]])
+    k, d = ids.shape[1], 5
+    table_data = rng.normal(size=(7, d))
+    # parts of unlike magnitudes, so that another order of adding them rounds otherwise
+    probe = rng.normal(size=(len(ids), k * d)) * np.repeat(10.0 ** rng.uniform(-3, 3, size=k), d)
+
+    def run(lookup):
+        table = Tensor(table_data.copy(), requires_grad=True)
+        with Tape() as tape:
+            rows = lookup(table)
+            n_nodes = len(tape.nodes)
+            later = ad.embedding(table, np.array([[3], [6], [3]]))
+            loss = ad.add(ad.sum_all(ad.mul(ad.tanh(rows), Tensor(probe))),
+                          ad.sum_all(ad.mul(later, later)))
+        tape.backward(loss)
+        return rows.data, table.grad, n_nodes
+
+    rows, grad, nodes = run(lambda table: ad.embedding(table, ids))
+    ref_rows, ref_grad, ref_nodes = run(
+        lambda table: ad.concat([ad.embedding(table, ids[:, j:j + 1]) for j in range(k)]))
+    assert (nodes, ref_nodes) == (1, k + 1)
+    assert rows.tobytes() == ref_rows.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+    with pytest.raises(DimensionError):  # one id column is an [n, 1] block
+        ad.embedding(Tensor(table_data), ids[:, 0])
+    with pytest.raises(DomainError):
+        ad.embedding(Tensor(table_data), ids + 1)
 
 
 def _layer_inputs(rng, b=3, t=4, d_in=3, units=2, requires_grad=True):

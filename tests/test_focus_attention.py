@@ -73,8 +73,8 @@ def run_attention_steps(rng, n_steps, b=2, t=4, d_h=6, seed_states=None, update_
     alphas, contexts = [], []
     for step in range(n_steps):
         s_prev = rng.normal(size=(b, d_h))
-        um = None if update_masks is None else update_masks[step]
-        alpha, context, cov, _ = attend_step(setup, s_prev, cov, update_mask=um)
+        um = np.ones(b) if update_masks is None else update_masks[step]
+        alpha, context, cov, _ = attend_step(setup, s_prev, cov, um)
         alphas.append(alpha)
         contexts.append(context)
     return alphas, contexts, cov, setup
@@ -116,8 +116,8 @@ def test_coverage_term_gates_by_variant():
         setup = build_attention(states, states, mask, w, focus=focus)
         fresh = np.zeros((b, t))
         loaded = np.full((b, t), 0.25)
-        a1 = attend_step(setup, s_prev, fresh)[0]
-        a2 = attend_step(setup, s_prev, loaded)[0]
+        a1 = attend_step(setup, s_prev, fresh, np.ones(b))[0]
+        a2 = attend_step(setup, s_prev, loaded, np.ones(b))[0]
         if sensitive:
             assert not np.allclose(a1, a2)
         else:
@@ -140,7 +140,7 @@ def test_uniform_focus_leaves_attention_as_without_focus():
             setup = build_attention(states, states, mask, w, focus=focus)
             cov, alphas = np.zeros((b, t)), []
             for s_prev in s_prevs:
-                alpha, _, cov, _ = attend_step(setup, s_prev, cov)
+                alpha, _, cov, _ = attend_step(setup, s_prev, cov, np.ones(b))
                 alphas.append(alpha)
             runs.append(alphas)
         for with_focus, without in zip(*runs):
@@ -178,7 +178,7 @@ def test_focus_prior_sets_attention_when_step_scores_are_flat():
     w = make_attention_weights(rng, d_h, d_h, coverage=True)
     w.v_a = Tensor(np.zeros((d_h, 1)))
     setup = build_attention(states, states, mask, w, focus=focus)
-    alpha = attend_step(setup, rng.normal(size=(b, d_h)), np.zeros((b, t)))[0]
+    alpha = attend_step(setup, rng.normal(size=(b, d_h)), np.zeros((b, t)), np.ones(b))[0]
     np.testing.assert_allclose(alpha, focus.data, atol=1e-12)
     assert (alpha[~mask] == 0.0).all()
 
@@ -308,18 +308,24 @@ def test_attention_read_is_bit_identical_to_the_composition(monkeypatch, b, t, d
             assert _same_bits(part, leaf.grad)
 
 
+def one_row_gap(coverage, resp_len, focus):
+    """The gap of one row with every position on."""
+    on = np.ones((1, len(coverage)), dtype=bool)
+    return alignment_gap(np.array([coverage]), np.array([resp_len]), np.array([focus]), on)[0]
+
+
 def test_alignment_gap_frozen_distances():
     # fully misaligned one-hot pair
-    gap = alignment_gap(np.array([0.0, 2.0]), resp_len=2, focus=np.array([1.0, 0.0]))
+    gap = one_row_gap([0.0, 2.0], 2, [1.0, 0.0])
     assert gap == pytest.approx(np.sqrt(2.0), abs=1e-12)
     # milder disagreement
-    gap = alignment_gap(np.array([3.0, 1.0]), resp_len=4, focus=np.array([0.5, 0.5]))
+    gap = one_row_gap([3.0, 1.0], 4, [0.5, 0.5])
     assert gap == pytest.approx(0.35355339059327373, abs=1e-12)
     # eight positions: numpy's pairwise np.sum gives 0.13540064007726602 here,
     # the left-to-right sum gives 0.135400640077266
     cov = np.array([0.4, 0.7, 0.1, 0.6, 0.2, 0.3, 0.5, 0.2])
     focus = np.array([0.1, 0.15, 0.0, 0.2, 0.15, 0.1, 0.2, 0.1])
-    gap = alignment_gap(cov, resp_len=3, focus=focus)
+    gap = one_row_gap(cov, 3, focus)
     total = 0.0
     for c, f in zip(cov, focus):
         diff = c / 3.0 - f
@@ -346,20 +352,23 @@ def test_alignment_gap_rows_equal_the_one_row_recount():
         for c, f in zip(cov[i][mask[i]], focus[i][mask[i]]):
             diff = c / lengths[i] - f
             total += diff * diff
-        assert gaps[i] == math.sqrt(total) == alignment_gap(cov[i][mask[i]], lengths[i],
-                                                             focus[i][mask[i]])
+        assert gaps[i] == math.sqrt(total) == one_row_gap(cov[i][mask[i]], lengths[i],
+                                                           focus[i][mask[i]])
     assert gaps[0] == 0.135400640077266
 
 
 def test_alignment_gap_validates():
     with pytest.raises(ValidationError):
-        alignment_gap(np.array([1.0]), resp_len=0, focus=np.array([1.0]))
+        one_row_gap([1.0], 0, [1.0])
+    on = np.ones((1, 2), dtype=bool)
     with pytest.raises(DimensionError):
-        alignment_gap(np.array([1.0, 0.0]), resp_len=1, focus=np.array([1.0]))
-    rows = np.ones((2, 3))
+        alignment_gap(np.array([[1.0, 0.0]]), np.array([1]), np.array([[1.0]]), on)
+    rows, on = np.ones((2, 3)), np.ones((2, 3), dtype=bool)
     with pytest.raises(DimensionError):
-        alignment_gap(rows, np.array([1, 2, 3]), rows)
+        alignment_gap(rows, np.array([1, 2, 3]), rows, on)
     with pytest.raises(DimensionError):
         alignment_gap(rows, np.array([1, 2]), rows, np.ones((2, 2), dtype=bool))
+    with pytest.raises(DimensionError):  # one row without its batch axis
+        alignment_gap(rows[0], np.array([1]), rows[0], on[0])
     with pytest.raises(ValidationError):
-        alignment_gap(rows, np.array([1, 0]), rows)
+        alignment_gap(rows, np.array([1, 0]), rows, on)

@@ -16,7 +16,8 @@ The JSON written holds, per workload, every pair's end-to-end metrics, their
 medians and quartiles (numpy linear percentiles over the pairs), the pairs
 the change won, the change against the parent at the median and the bound of
 BENCHMARK.json, and every run's output digests.  A --traced pair runs
-`--trace 1` once per side and keeps its per-layer timings.
+`--trace 1` once per side and keeps all its metrics, per-layer timings and
+tape-node counts included.
 
 Exits 1 when a run fails its own checks or when any pair's output digests
 differ (the JSON is written first, to show which), else 0.  A training run's
@@ -155,8 +156,7 @@ def run_traced(checkouts: dict[str, Path], workload: str, seed: int, seconds: fl
     out = {"workload": workload, "seed": seed}
     runs = {side: run_once(checkouts[side], workload, seed, seconds, True) for side in SIDES}
     for side, run in runs.items():
-        out[side] = {k: v["value"] for k, v in run["metrics"].items()
-                     if k.endswith("_ms") or k == "tracing.overhead_share"}
+        out[side] = {k: v["value"] for k, v in run["metrics"].items()}
     out["all_runs_correct"] = all(r["correct"] for r in runs.values())
     out["differing_outputs"] = differing_outputs(runs["parent"].get("outputs", {}),
                                                  runs["change"].get("outputs", {}))
