@@ -7,9 +7,10 @@ order by construction.  `tape.backward(loss)` walks the nodes once in reverse
 and deposits gradients into the leaf tensors that asked for them.
 
 Only two broadcasting forms exist on the elementwise ops: equal shapes, and
-scalar against tensor.  Row/column broadcasts needed by the model go through
-dedicated primitives (bias_add, scale_rows, repeat_rows) so each backward
-rule stays a couple of lines.
+a constant scalar against a tensor; a size-1 operand that requires grad is
+refused, so no gradient is ever summed back onto one.  Row/column
+broadcasts needed by the model go through dedicated primitives (bias_add,
+scale_rows, repeat_rows) so each backward rule stays a couple of lines.
 
 `gru_layer` fuses a bidirectional encoder layer, both directions stepping
 in lockstep; `embedding` looks up an encode's every position in one node,
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionError, DomainError, EvaluationError, MaskError
 
@@ -74,13 +75,12 @@ def _as_tensor(x) -> Tensor:
 
 @dataclass
 class _Node:
-    """One recorded op.  backward(g) returns, or yields, one gradient part
-    (or None) per entry of inputs.  An input may be listed more than once,
-    once per part, and the tape adds its parts in listed order."""
+    """One recorded op.  backward(g) returns, or yields, (input, part) pairs,
+    a part being None where no gradient is wanted.  An input may come in
+    several pairs, and the tape adds its parts in that order."""
 
-    inputs: tuple[Tensor, ...]
     out: Tensor
-    backward: Callable[[Array], tuple[Array | None, ...]]
+    backward: Callable[[Array], Iterable[tuple[Tensor, Array | None]]]
 
 
 class Tape:
@@ -108,7 +108,8 @@ class Tape:
         in reverse recording order, so two backward passes over identical
         tapes produce bit-identical gradients.  A tensor's gradient is the
         left-to-right sum of its parts in visiting order; within one node,
-        the parts of an input listed several times are added in listed order.
+        the parts of an input that comes in several pairs are added in the
+        order the node yields them.
 
         A first part is kept as its rule returned it, which may be an array
         the rule also handed elsewhere or a view; the second is added into a
@@ -136,7 +137,7 @@ class Tape:
             if g is None:
                 continue  # dead branch: output never influenced the root
             owned.discard(out_key)
-            for inp, gi in zip(node.inputs, node.backward(g), strict=True):
+            for inp, gi in node.backward(g):
                 if gi is None:
                     continue
                 key = id(inp)
@@ -159,11 +160,20 @@ def _recording(inputs: tuple[Tensor, ...]) -> bool:
     return Tape.current is not None and any(t.requires_grad for t in inputs)
 
 
-def _record(inputs: tuple[Tensor, ...], out: Tensor, backward) -> Tensor:
+def _record_pairs(inputs: tuple[Tensor, ...], out: Tensor, backward) -> Tensor:
+    """Record a node that reads the distinct tensors inputs, if one of them
+    requires grad; backward(g) returns or yields the node's (input, part)
+    pairs, each input's parts in the order the tape is to add them."""
     if _recording(inputs):
         out.requires_grad = True
-        Tape.current.nodes.append(_Node(inputs, out, backward))
+        Tape.current.nodes.append(_Node(out, backward))
     return out
+
+
+def _record(inputs: tuple[Tensor, ...], out: Tensor, rule) -> Tensor:
+    """Record a primitive whose rule(g) returns one part (or None) per entry
+    of inputs."""
+    return _record_pairs(inputs, out, lambda g: zip(inputs, rule(g), strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +181,15 @@ def _record(inputs: tuple[Tensor, ...], out: Tensor, backward) -> Tensor:
 
 
 def _binary_shapes(a: Tensor, b: Tensor, name: str) -> None:
-    # scalar-with-tensor and equal-shape broadcasting only
-    if a.size != 1 and b.size != 1 and a.shape != b.shape:
+    # equal shapes, or a constant scalar against a tensor: an operand that
+    # requires grad has the output's shape, so its gradient is never reduced
+    if a.shape == b.shape:
+        return
+    if a.size != 1 and b.size != 1:
         raise DimensionError(f"{name}: shapes {a.shape} and {b.shape} do not conform")
-
-
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    # reduce a gradient back onto a scalar operand
-    if g.shape == shape:
-        return g
-    return np.sum(g).reshape(shape)
+    if (a.size == 1 and a.requires_grad) or (b.size == 1 and b.requires_grad):
+        raise DimensionError(f"{name}: a size-1 operand that requires grad does not broadcast "
+                             f"({a.shape} and {b.shape})")
 
 
 def add(a, b) -> Tensor:
@@ -189,10 +198,7 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward(g: Array):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
-        )
+        return (g if a.requires_grad else None, g if b.requires_grad else None)
 
     return _record((a, b), out, backward)
 
@@ -203,10 +209,7 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def backward(g: Array):
-        return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
-        )
+        return (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None)
 
     return _record((a, b), out, backward)
 
@@ -401,9 +404,9 @@ def _scatter(table: Array, ids: Array, g: Array) -> Array:
 
 def embedding(table: Tensor, ids: Array) -> Tensor:
     """Row lookups of an [n, k] id block as [n, k*d] rows, column j of ids
-    in columns j*d:(j+1)*d.  The table is listed k times and the backward
-    yields one scatter per id column, last column first: the parts, in the
-    order, that k one-column lookups and their concat handed the tape."""
+    in columns j*d:(j+1)*d.  The backward yields one (table, scatter) pair
+    per id column, last column first: the parts, in the order, that k
+    one-column lookups and their concat handed the tape."""
     ids = np.asarray(ids)
     if ids.ndim != 2 or table.data.ndim != 2:
         raise DimensionError(f"embedding: needs [n, k] ids and a 2-d table, "
@@ -416,9 +419,9 @@ def embedding(table: Tensor, ids: Array) -> Tensor:
 
     def backward(g: Array):
         for j in range(k - 1, -1, -1):
-            yield _scatter(table.data, ids[:, j], g[:, j * d:(j + 1) * d])
+            yield table, _scatter(table.data, ids[:, j], g[:, j * d:(j + 1) * d])
 
-    return _record((table,) * k, out, backward)
+    return _record_pairs((table,), out, backward)
 
 
 def pick(x: Tensor, idx: Array) -> Tensor:
@@ -606,18 +609,14 @@ def _gru_weight_grads(x: Array, h: Array, ur: Array, dg: Array) -> tuple[Array, 
             (ur[1] * h).transpose(0, 2, 1) @ dg[2], dg.sum(axis=2))
 
 
-def _cell_inputs(cell: GRUCellWeights) -> tuple[Tensor, ...]:
-    """A cell's weights in the order one step of the composition's tape
-    visited them."""
-    return (cell.W_h, cell.U_h, cell.b_h, cell.W_r, cell.U_r, cell.b_r,
-            cell.W_u, cell.U_u, cell.b_u)
-
-
-def _cell_parts(w_grads: tuple[Array, ...], d: int) -> tuple[Array, ...]:
-    """Cell d's part of `_gru_weight_grads`, listed as `_cell_inputs`."""
+def _cell_parts(cell: GRUCellWeights, w_grads: tuple[Array, ...], d: int
+                ) -> tuple[tuple[Tensor, Array], ...]:
+    """The (weight, part) pairs of cell, stacked at d in `_gru_weight_grads`,
+    in the order one step of the composition's tape visited them."""
     gW, gU, gU_h, gb = w_grads
-    return (gW[2, d], gU_h[d], gb[2, d], gW[1, d], gU[1, d], gb[1, d],
-            gW[0, d], gU[0, d], gb[0, d])
+    return ((cell.W_h, gW[2, d]), (cell.U_h, gU_h[d]), (cell.b_h, gb[2, d]),
+            (cell.W_r, gW[1, d]), (cell.U_r, gU[1, d]), (cell.b_r, gb[1, d]),
+            (cell.W_u, gW[0, d]), (cell.U_u, gU[0, d]), (cell.b_u, gb[0, d]))
 
 
 def _by_step(a: Array) -> Array:
@@ -661,10 +660,10 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights]) -> Tensor:
 
     Outputs and gradients are bit-identical to the op-by-op composition
     (matmul, add, bias_add, sigmoid, tanh, mul, neg, scale_rows, concat):
-    each stacked product is the same 2-d matmul, and the node lists each
-    input once per gradient part in that composition's order: x three times
-    per cell (W_h, W_r, W_u parts) and each weight once per step; the
-    backward cell first, steps from the last to the first.
+    each stacked product is the same 2-d matmul, and the backward hands the
+    tape each input's gradient parts in that composition's order: three
+    parts of x per cell (W_h, W_r, W_u) and one of each weight per step;
+    the backward cell first, steps from the last to the first.
     """
     if len(cells) != 2:
         raise DimensionError(f"gru_layer: takes a (forward, backward) cell pair, "
@@ -692,9 +691,7 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights]) -> Tensor:
     drop = 1.0 - keep
     h_first = np.zeros((2, b, units))
 
-    inputs = (x,) * 6
-    for cell in cells[::-1]:  # in the order of each step's weight parts below
-        inputs += _cell_inputs(cell) * t
+    inputs = (x, *(p for cell in cells for p in vars(cell).values()))
     recording = _recording(inputs)
     out = np.empty((b, t, 2, units))
     saved = []  # (ur, c) of each step, kept only for a backward pass
@@ -735,14 +732,13 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights]) -> Tensor:
             if x_rg:
                 np.matmul(dg[:, 0], W_T[:, 0], out=px[::-1, 0, :, i])
                 np.matmul(dg[:, 1], W_T[:, 1], out=px[::-1, 1, :, t - 1 - i])
-        parts = ([p for d in (1, 0) for p in px[:, d].reshape(3, b, t * d_in)]
-                 if x_rg else [None] * 6)
+        pairs = [(x, p) for d in (1, 0) for p in px[:, d].reshape(3, b, t * d_in)] if x_rg else []
         for d in (1, 0):
             for step_grads in w_grads:
-                parts += _cell_parts(step_grads, d)
-        return parts
+                pairs += _cell_parts(cells[d], step_grads, d)
+        return pairs
 
-    return _record(inputs, Tensor(out), backward)
+    return _record_pairs(inputs, Tensor(out), backward)
 
 
 # ---------------------------------------------------------------------------

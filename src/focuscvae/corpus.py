@@ -327,24 +327,23 @@ def to_pairs(records: list[PostRecord], vocab: Vocabulary) -> list[PostResponseP
     return pairs
 
 
+def pad_block(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sequences as a PAD-filled [n, longest] int64 id block and its bool mask."""
+    ids = np.full((len(seqs), max(map(len, seqs))), PAD_ID, dtype=np.int64)
+    mask = np.zeros(ids.shape, dtype=bool)
+    for i, seq in enumerate(seqs):
+        ids[i, :len(seq)] = seq
+        mask[i, :len(seq)] = True
+    return ids, mask
+
+
 def collate(pairs: list[PostResponsePair]) -> Batch:
     """Pad a list of pairs to per-batch max lengths."""
     if not pairs:
         raise ValidationError("cannot collate an empty batch")
-    b = len(pairs)
-    tx = max(len(p.post) for p in pairs)
-    ty = max(len(p.response) for p in pairs)
-    post_ids = np.full((b, tx), PAD_ID, dtype=np.int64)
-    resp_ids = np.full((b, ty), PAD_ID, dtype=np.int64)
-    post_mask = np.zeros((b, tx), dtype=bool)
-    resp_mask = np.zeros((b, ty), dtype=bool)
-    lengths = np.zeros(b, dtype=np.int64)
-    for i, p in enumerate(pairs):
-        post_ids[i, :len(p.post)] = p.post
-        post_mask[i, :len(p.post)] = True
-        resp_ids[i, :len(p.response)] = p.response
-        resp_mask[i, :len(p.response)] = True
-        lengths[i] = len(p.response)
+    post_ids, post_mask = pad_block([p.post for p in pairs])
+    resp_ids, resp_mask = pad_block([p.response for p in pairs])
+    lengths = np.array([len(p.response) for p in pairs], dtype=np.int64)
     return Batch(post_ids, post_mask, resp_ids, resp_mask, lengths)
 
 

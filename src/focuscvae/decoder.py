@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (Array, GRUCellWeights, Tensor, _cell_inputs, _cell_parts, _gate_stacks,
-                       _gru_step, _gru_step_grads, _gru_weight_grads, _scatter)
+from .autodiff import (Array, GRUCellWeights, Tensor, _cell_parts, _gate_stacks, _gru_step,
+                       _gru_step_grads, _gru_weight_grads, _scatter)
 from .corpus import EOS_ID, PAD_ID
-from .encoders import AffineWeights, affine, init_gru_cell
+from .encoders import AffineWeights, affine, init_gru_cell, uniform_init
 from .errors import ValidationError
-from .focus import AttentionSetup, alignment_gap, attend_grads, attend_step, attention_inputs
+from .focus import AttentionSetup, alignment_gap, attend_grads, attend_step
 
 
 @dataclass
@@ -41,7 +41,7 @@ class DecoderWeights:
 
 def init_decoder_weights(rng: np.random.Generator, d_emb: int, d_h: int, d_cond: int,
                          d_ctx: int, vocab_size: int, scale: float) -> DecoderWeights:
-    u = lambda *shape: Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+    u = uniform_init(rng, scale)
     return DecoderWeights(
         cells=[init_gru_cell(rng, d_emb, d_h, scale), init_gru_cell(rng, d_h, d_h, scale)],
         start=u(1, d_emb),
@@ -107,11 +107,12 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
     The node's output holds every step's logits and then the final
     coverage, [B, T*V + Tx], split by two narrows.  Its forward loops
     `_decode_step` and keeps only what the backward reads.  The backward
-    walks the steps in reverse and hands the tape each input's gradient
+    walks the steps in reverse and yields (input, part) pairs, each input's
     parts in the order the tape visited them when every step was composed
     of tape primitives (attention, embedding lookup, two one-step GRU
     layers, concat and affine), so gradients match that composition bit
-    for bit.  An all-zero coverage gradient counts as none, as when
+    for bit.  Inputs that do not require grad get no pairs, except the
+    cells' weights.  An all-zero coverage gradient counts as none, as when
     nothing downstream reads the coverage.
     """
     b, t_max = resp_ids.shape
@@ -119,14 +120,15 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
         raise ValidationError("decode_train needs at least one response position")
     vocab, length = w.out.b.shape[0], setup.length
     d_h = init[1].shape[1]
-    inputs = []
-    for t in range(t_max - 1, -1, -1):
-        inputs += [w.out.b, w.out.W]
-        for cell, h0 in zip(w.cells[::-1], init[::-1]):
-            inputs += [h0] * 4 * (t == 0) + list(_cell_inputs(cell))
-        inputs += [emb_table if t else w.start, *attention_inputs(setup)]
-    inputs.append(init[1])
-    recording = ad._recording(tuple(inputs))
+    att = setup.weights
+    inputs = [w.out.b, w.out.W, *init, emb_table, w.start, setup.context_flat, setup.base,
+              att.v_a, att.U_a, *(p for cell in w.cells for p in vars(cell).values())]
+    if setup.log_focus is not None:
+        inputs.append(setup.log_focus)
+    if att.V_a is not None:
+        inputs += [att.V_a, setup.states_flat]
+    inputs = tuple(inputs)
+    recording = ad._recording(inputs)
 
     stacks = [_gate_stacks([cell]) for cell in w.cells]
     keeps = resp_mask.T.astype(np.float64)[:, :, None]
@@ -153,8 +155,10 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
         for t in range(t_max - 1, -1, -1):
             attended, cells, rows = saved[t]
             g_logits = g[:, t * vocab:(t + 1) * vocab]
-            yield g_logits.sum(axis=0) if w.out.b.requires_grad else None
-            yield rows.T @ g_logits if w.out.W.requires_grad else None
+            if w.out.b.requires_grad:
+                yield w.out.b, g_logits.sum(axis=0)
+            if w.out.W.requires_grad:
+                yield w.out.W, rows.T @ g_logits
             g_rows = g_logits @ w.out.W.data.T
             later[1].append(g_rows[:, :d_h])
             for i in (1, 0):  # the top cell first, as the tape visited them
@@ -164,24 +168,22 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
                                               t > 0 or init[i].requires_grad)
                 later[i] = [p[0] for p in h_parts]
                 if t == 0:  # the initial state's parts
-                    yield from later[i] or [None] * 4
-                yield from _cell_parts(_gru_weight_grads(x[None], h, ur, dg), 0)
+                    yield from ((init[i], p) for p in later[i])
+                yield from _cell_parts(w.cells[i], _gru_weight_grads(x[None], h, ur, dg), 0)
                 g_x = np.empty((3, b, x.shape[1]))  # x's W_h, W_r and W_u parts
                 np.matmul(dg[:, 0], W.transpose(0, 1, 3, 2)[:, 0], out=g_x[::-1])
                 if i:
                     later[0] += list(g_x)
-            table = emb_table if t else w.start
-            if not table.requires_grad:
-                yield None
-            elif t:
-                yield _scatter(emb_table.data, resp_ids[:, t - 1], _fold(list(g_x)))
-            else:
-                yield _fold(list(g_x)).reshape(1, b, -1).sum(axis=1)
+            if t and emb_table.requires_grad:
+                yield emb_table, _scatter(emb_table.data, resp_ids[:, t - 1], _fold(list(g_x)))
+            elif not t and w.start.requires_grad:
+                yield w.start, _fold(list(g_x)).reshape(1, b, -1).sum(axis=1)
             g_query, g_cov = yield from attend_grads(setup, attended, g_rows[:, d_h:], g_cov, t > 0)
             later[1].append(g_query)
-        yield g_query if init[1].requires_grad else None
+        if init[1].requires_grad:
+            yield init[1], g_query
 
-    node = ad._record(tuple(inputs), Tensor(out), backward)
+    node = ad._record_pairs(inputs, Tensor(out), backward)
     logits = ad.reshape(ad.narrow(node, 0, t_max * vocab), (b * t_max, vocab))
     return logits, ad.narrow(node, t_max * vocab, length), alphas
 

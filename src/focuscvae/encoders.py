@@ -51,8 +51,14 @@ class EncoderWeights:
         return out
 
 
+def uniform_init(rng: np.random.Generator, scale: float):
+    """A maker of trainable tensors of a given shape, each drawn from rng
+    uniform in [-scale, scale] when it is called."""
+    return lambda *shape: Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+
+
 def init_gru_cell(rng: np.random.Generator, d_in: int, d_h: int, scale: float) -> GRUCellWeights:
-    u = lambda *shape: Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+    u = uniform_init(rng, scale)
     return GRUCellWeights(
         W_u=u(d_in, d_h), U_u=u(d_h, d_h), b_u=u(d_h),
         W_r=u(d_in, d_h), U_r=u(d_h, d_h), b_r=u(d_h),

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import uses_latent
-from .corpus import EOS_ID, PAD_ID, PostRecord, Vocabulary
+from .corpus import EOS_ID, PAD_ID, PostRecord, Vocabulary, pad_block
 from .decoder import GenerationResult
 from .errors import CompatibilityError, ValidationError
 from .model import FocusCVAE
@@ -237,12 +237,7 @@ def generate_samples(model: FocusCVAE, posts: list[np.ndarray], n_samples: int,
         # jobs come in post order, so the sorted distinct posts are in order
         # of first appearance
         distinct, row_post = np.unique([i for i, _ in part], return_inverse=True)
-        width = max(len(posts[i]) for i in distinct)
-        ids = np.full((len(distinct), width), PAD_ID, dtype=np.int64)
-        mask = np.zeros((len(distinct), width), dtype=bool)
-        for u, i in enumerate(distinct):
-            ids[u, :len(posts[i])] = posts[i]
-            mask[u, :len(posts[i])] = True
+        ids, mask = pad_block([posts[i] for i in distinct])
         eps = None
         if latent:
             eps = np.stack([np.random.default_rng(

@@ -21,7 +21,7 @@ from .corpus import Batch
 from .decoder import (GenerationResult, decode_train, greedy_decode, init_decoder_weights,
                       initial_states)
 from .encoders import (AffineWeights, EncoderOutputs, GaussianParams, encode,
-                       init_encoder_weights, prior, recognition, sample)
+                       init_encoder_weights, prior, recognition, sample, uniform_init)
 from .errors import DimensionError, ValidationError
 from .focus import AttentionSetup, AttentionWeights, FocusWeights, build_attention, focus_generate
 
@@ -72,7 +72,7 @@ class FocusCVAE:
         d_emb = d_z  # embedding width tied to the latent size
         latent = uses_latent(cfg.variant)
 
-        u = lambda *shape: Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+        u = uniform_init(rng, scale)
         self.embedding = u(vocab, d_emb)
         self.encoder = init_encoder_weights(rng, d_emb, d_h, n_layers=2, scale=scale)
 

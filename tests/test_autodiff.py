@@ -76,6 +76,19 @@ def test_shape_mismatch_names_both_shapes():
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+def test_only_a_constant_scalar_broadcasts():
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    for op in (ad.add, ad.mul):
+        for scalar in (Tensor(2.5, requires_grad=True), Tensor([2.5], requires_grad=True)):
+            for args in ((a, scalar), (scalar, a), (Tensor(a.data), scalar)):
+                with pytest.raises(DimensionError):
+                    op(*args)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.add(ad.mul(2.5, a), ad.mul(a, Tensor([[-1.0]]))))
+    tape.backward(loss)
+    assert a.grad.tolist() == [[1.5] * 3] * 2
+
+
 def test_matmul_gradient_is_outer_structure():
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -195,9 +208,9 @@ def test_backward_folds_parts_in_listed_order_and_never_writes_into_them():
 
     def spy(rule):
         def wrapped(g):
-            parts = rule(g)
-            returned.extend((part, part.copy()) for part in parts if part is not None)
-            return parts
+            pairs = list(rule(g))
+            returned.extend((part, part.copy()) for _, part in pairs if part is not None)
+            return pairs
         return wrapped
 
     for node in tape.nodes:
@@ -226,8 +239,6 @@ ALL_ON = np.ones((3, 5), dtype=bool)  # the unmasked softmax cases' mask
 PRIMITIVE_CASES = [
     ("add", lambda rng: ((a := _rand(rng, (3, 4))), (b := _rand(rng, (3, 4))),
                          lambda: scalar_loss(ad.mul(ad.add(a, b), ad.add(a, b))), {"a": a, "b": b})),
-    ("add_scalar", lambda rng: ((a := _rand(rng, (3, 4))), (b := _rand(rng, ())),
-                                lambda: scalar_loss(ad.mul(ad.add(a, b), a)), {"a": a, "b": b})),
     ("mul", lambda rng: ((a := _rand(rng, (3, 4))), (b := _rand(rng, (3, 4))),
                          lambda: scalar_loss(ad.tanh(ad.mul(a, b))), {"a": a, "b": b})),
     ("neg", lambda rng: ((a := _rand(rng, (5,))), None,
@@ -338,8 +349,9 @@ def test_fused_gru_cell_is_bit_identical_to_the_composition(masked):
     assert h_new[0].tobytes() == ref.data.tobytes()
     assert _fold(h_parts)[0].tobytes() == h.grad.tobytes()
     assert _fold([dg[k, 0] @ W[k, 0].T for k in (2, 1, 0)]).tobytes() == x.grad.tobytes()
-    w_parts = ad._cell_parts(ad._gru_weight_grads(x.data[None], h.data[None], ur, dg), 0)
-    for param, part in zip(ad._cell_inputs(w), w_parts, strict=True):
+    w_parts = ad._cell_parts(w, ad._gru_weight_grads(x.data[None], h.data[None], ur, dg), 0)
+    assert sorted(id(param) for param, _ in w_parts) == sorted(map(id, vars(w).values()))
+    for param, part in w_parts:
         assert part.tobytes() == param.grad.tobytes()
 
 
@@ -559,6 +571,34 @@ def test_backward_adds_repeated_input_parts_in_listed_order():
 
     assert grad_with([0, 1, 2]) == (1.0 + 1e-16) + -1.0 == 0.0
     assert grad_with([2, 1, 0]) == (-1.0 + 1e-16) + 1.0 != 0.0
+
+
+def test_a_node_s_pairs_add_as_one_node_per_part_would():
+    rng = np.random.default_rng(8)
+    # parts of unlike magnitudes, whose sum rounds differently in another order
+    a_parts = [rng.normal(size=8) * scale for scale in (1e8, 1.0, 1e-8)]
+    c_part = rng.normal(size=8)
+    pairs_of = lambda a, c: [(a, a_parts[0]), (c, c_part), (a, a_parts[1]), (a, a_parts[2])]
+
+    a, c = (Tensor(np.zeros(8), requires_grad=True) for _ in range(2))
+    with Tape() as tape:
+        out = ad._record_pairs((a, c), Tensor([0.0]), lambda g: iter(pairs_of(a, c)))
+    tape.backward(out)
+
+    a1, c1 = (Tensor(np.zeros(8), requires_grad=True) for _ in range(2))
+    with Tape() as tape:
+        # the tape visits nodes last first, so record the parts last first
+        outs = [ad._record((t,), Tensor([0.0]), lambda g, p=p: (p,))
+                for t, p in pairs_of(a1, c1)[::-1]]
+        total = outs[0]
+        for o in outs[1:]:
+            total = ad.add(total, o)
+    tape.backward(total)
+
+    p0, p1, p2 = a_parts
+    assert a.grad.tobytes() == a1.grad.tobytes() == ((p0 + p1) + p2).tobytes()
+    assert c.grad.tobytes() == c1.grad.tobytes() == c_part.tobytes()
+    assert a.grad.tobytes() != ((p2 + p1) + p0).tobytes()
 
 
 def test_grad_check_reports_per_tensor():

@@ -40,3 +40,17 @@ def test_pairs_are_won_in_the_metric_s_direction():
     assert faster["within_bound"]
     heavier = bench_pairs.compare([100.0, 100.0], [112.0, 99.0], "lower", 0.05)
     assert heavier["change_wins"] == "1/2" and not heavier["within_bound"]
+
+
+def test_trees_compare_file_by_file(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "loss_log.csv").write_bytes(b"step,total\n1,0.5\n")
+        (root / "report.json").write_bytes(b"{}")
+    assert bench_pairs.compare_trees(a, b) == (2, [])
+    (b / "run" / "loss_log.csv").write_bytes(b"step,total\n1,0.6\n")  # one byte differs
+    assert bench_pairs.compare_trees(a, b) == (2, ["run/loss_log.csv"])
+    (a / "run" / "samples.csv").write_bytes(b"")  # missing from b
+    assert bench_pairs.compare_trees(a, b) == (3, ["run/loss_log.csv", "run/samples.csv"])
+    assert bench_pairs.compare_trees(b, a) == (3, ["run/loss_log.csv", "run/samples.csv"])

@@ -11,7 +11,7 @@ from focuscvae.decoder import decode_train, init_decoder_weights
 from focuscvae.errors import DimensionError, MaskError, ValidationError
 from focuscvae.focus import (
     LOG_FOCUS_FLOOR, AttentionSetup, AttentionWeights, FocusWeights, alignment_gap, attend_grads,
-    attend_step, attention_inputs, build_attention, focus_generate,
+    attend_step, build_attention, focus_generate,
 )
 from reference import reference_attend_step
 
@@ -248,6 +248,14 @@ def _attention_read_case(rng, b, t, d_h, coverage_term, focus_prior):
     return setup, rng.normal(size=(b, d_h)), coverage, keep
 
 
+def _composition_order(setup):
+    """The setup's tensors in the order the composition's tape visited them."""
+    w = setup.weights
+    focus = () if setup.log_focus is None else (setup.log_focus,)
+    coverage = () if w.V_a is None else (w.V_a, setup.states_flat)
+    return [setup.context_flat, *focus, w.v_a, *coverage, setup.base, w.U_a]
+
+
 def _drain(parts_then_result):
     """Every value a generator yields, and what it returns."""
     parts = []
@@ -283,7 +291,7 @@ def test_attention_read_is_bit_identical_to_the_composition(monkeypatch, b, t, d
     monkeypatch.setattr(ad, "tanh", lambda x: energies.append(tanh(x)) or energies[-1])
     # with and without a gradient reaching the updated coverage
     for g_coverage in (rng.normal(size=(b, t)), None):
-        leaves = [*attention_inputs(setup), Tensor(s_prev, requires_grad=True),
+        leaves = [*_composition_order(setup), Tensor(s_prev, requires_grad=True),
                   Tensor(coverage, requires_grad=True)]
         for leaf in leaves:
             leaf.zero_grad()
@@ -302,7 +310,9 @@ def test_attention_read_is_bit_identical_to_the_composition(monkeypatch, b, t, d
         assert _same_bits(saved[4], energies[-1].data)
 
         tape.backward(loss)
-        parts, (g_query, g_prev) = _drain(attend_grads(setup, saved, g_context, g_coverage, True))
+        pairs, (g_query, g_prev) = _drain(attend_grads(setup, saved, g_context, g_coverage, True))
+        assert [id(t) for t, _ in pairs] == [id(leaf) for leaf in leaves[:-2]]
+        parts = [part for _, part in pairs]
         assert len(parts) == len(leaves) - 2
         for part, leaf in zip([*parts, g_query, g_prev], leaves, strict=True):
             assert _same_bits(part, leaf.grad)

@@ -23,17 +23,32 @@ Exits 1 when a run fails its own checks or when any pair's output digests
 differ (the JSON is written first, to show which), else 0.  A training run's
 whole-log digest and final loss are compared only where both sides ran the
 same number of steps, as the runs are time-bounded.
+
+    python3 tools/bench_pairs.py --parent HEAD --parity
+
+runs a fixed CLI recipe on both sides instead, side by side, one process
+per side: `make-corpus --seed 7`; 150 steps of each variant at seed 0 with
+the desk config of README.md, each followed by `eval` and `generate` of the
+500 held-out posts x 3 samples; and an 800-step `focconstrain` run with its
+`eval`, which trains past the 200 warm-up steps that the short runs never
+leave.  It compares the two output trees file by file (loss logs,
+checkpoints, reports, samples and alignment files), prints the file count
+and the first file that differs or is missing, and exits 1 on any
+difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import filecmp
 import io
 import json
+import os
 import subprocess
 import sys
 import tarfile
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +57,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 COUNTS = ("steps", "evaluations")          # how much ran, not what it wrote
 WHOLE_RUN = ("loss_log_sha256", "final_loss")  # comparable only at equal steps
+# the acceptance suite's training config, as README.md gives it for the CLI
+DESK_CONFIG = {"peak_lr": 0.004, "kl_anneal_steps": 2500, "w_bow": 3.0, "w_foc": 2.0,
+               "init_scale": 0.12}
+PARITY_VARIANTS = ("s2s", "foc", "foccoverage", "focconstrain")
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -163,24 +182,86 @@ def run_traced(checkouts: dict[str, Path], workload: str, seed: int, seconds: fl
     return out
 
 
+def run_recipe(checkout: Path, work: Path) -> None:
+    """The parity recipe through checkout's CLI, every output under work."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+    def cli(*args: str) -> None:
+        proc = subprocess.run([sys.executable, "-m", "focuscvae.cli", *args], cwd=work, env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{checkout}: focuscvae {' '.join(args)} exited "
+                               f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+
+    work.mkdir(parents=True)
+    (work / "desk.json").write_text(json.dumps(DESK_CONFIG) + "\n")
+    cli("make-corpus", "--seed", "7", "--out", "data")
+    runs = [(variant, variant, "150") for variant in PARITY_VARIANTS]
+    for name, variant, steps in runs + [("focconstrain_800", "focconstrain", "800")]:
+        cli("train", "--corpus", "data/corpus.jsonl", "--config", "desk.json",
+            "--out", f"runs/{name}", "--variant", variant, "--seed", "0", "--steps", steps)
+        held_out = ("--checkpoint", f"runs/{name}/checkpoint.bin", "--corpus", "data/test.jsonl",
+                    "--n-samples", "3", "--seed", "0")
+        cli("eval", *held_out, "--out", f"eval/{name}")
+        if steps == "150":
+            cli("generate", *held_out, "--out", f"generate/{name}")
+
+
+def compare_trees(a: Path, b: Path) -> tuple[int, list[str]]:
+    """Every file under a or b, compared byte for byte: the count of distinct
+    relative paths, and those that differ or are missing on one side, sorted."""
+    paths = sorted({p.relative_to(root).as_posix() for root in (a, b)
+                    for p in root.rglob("*") if p.is_file()})
+    differ = [p for p in paths if not ((a / p).is_file() and (b / p).is_file()
+                                       and filecmp.cmp(a / p, b / p, shallow=False))]
+    return len(paths), differ
+
+
+def parity(parent_rev: str, log) -> int:
+    """The parity recipe on the parent and on the working tree; 1 on any difference."""
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-parity-") as tmp:
+        tmp = Path(tmp)
+        parent = export_revision(parent_rev, tmp / "parent")
+        checkouts = {"parent": tmp / "parent", "change": ROOT}
+        log(f"parity: running the recipe on {parent} and on the working tree")
+        with ThreadPoolExecutor(len(SIDES)) as pool:
+            list(pool.map(lambda side: run_recipe(checkouts[side], tmp / "out" / side), SIDES))
+        n, differ = compare_trees(tmp / "out" / "parent", tmp / "out" / "change")
+        report = tmp / "out" / "change" / "eval" / "focconstrain_800" / "report.json"
+        bleu = json.loads(report.read_text())["bleu_2"] if report.is_file() else None
+    if differ:
+        log(f"parity: {len(differ)} of {n} files differ or are missing; first: {differ[0]}")
+        return 1
+    log(f"parity: all {n} files byte-identical against {parent} "
+        f"(800-step focconstrain BLEU-2 {bleu})")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
-    parser.add_argument("--pairs", type=workload_seeds, action="append", required=True,
+    parser.add_argument("--parity", action="store_true",
+                        help="compare the CLI recipe's output files instead of timing pairs")
+    parser.add_argument("--pairs", type=workload_seeds, action="append", default=[],
                         metavar="WORKLOAD=SEEDS", help="e.g. eval_focconstrain=701-710")
     parser.add_argument("--traced", type=workload_seeds, action="append", default=[],
                         metavar="WORKLOAD=SEED", help="one traced pair per seed given")
     parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--out", type=Path, required=True, help="the JSON to write")
+    parser.add_argument("--out", type=Path, help="the JSON to write")
     parser.add_argument("--tag", default="")
     parser.add_argument("--change", default="", help="what the change does")
     parser.add_argument("--claim", default="", help="the gain claimed, if any")
     args = parser.parse_args(argv)
+    log = lambda msg: print(msg, file=sys.stderr, flush=True)
+    if args.parity:
+        return parity(args.parent, log)
+    if not args.pairs or args.out is None:
+        parser.error("--pairs and --out are required without --parity")
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    log = lambda msg: print(msg, file=sys.stderr, flush=True)
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         checkouts = {"parent": Path(tmp), "change": ROOT}
         parent = export_revision(args.parent, checkouts["parent"])
