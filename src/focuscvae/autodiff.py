@@ -11,14 +11,16 @@ a constant scalar against a tensor; a size-1 operand that requires grad is
 refused, so no gradient is ever summed back onto one.  Row/column
 broadcasts needed by the model go through dedicated primitives (bias_add,
 scale_rows, repeat_rows) so each backward rule stays a couple of lines.
+A negation is `mul(x, -1.0)`, which gives -x forward and -g backward.
 
 `gru_layer` fuses a bidirectional encoder layer, both directions stepping
 in lockstep; `embedding` looks up an encode's every position in one node,
 `masked_mean` pools the states, and `decoder.decode_train` records a whole
-teacher-forced decode as one node over the same step arithmetic.  Their
-backward passes reproduce the op-by-op composition's gradients bit for bit.
-A desk step records 100 nodes for `focconstrain` (2,164 op by op), 23 for
-`s2s`.
+teacher-forced decode as one node over the same step arithmetic: both run
+one GRU step forward, `_gru_step`, and one backward, `_gru_step_backward`.
+Their backward passes reproduce the op-by-op composition's gradients bit
+for bit.  A desk step records 100 nodes for `focconstrain` (2,164 op by
+op), 23 for `s2s`.
 """
 
 from __future__ import annotations
@@ -212,12 +214,6 @@ def mul(a, b) -> Tensor:
         return (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None)
 
     return _record((a, b), out, backward)
-
-
-def neg(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(-x.data)
-    return _record((x,), out, lambda g: (-g,))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -491,8 +487,17 @@ def log_softmax(x: Tensor) -> Tensor:
 # GRU: one step's arithmetic and a layer of steps
 
 
+class Weights:
+    """A group of parameters, each a dataclass field."""
+
+    def named(self, prefix: str) -> dict[str, Tensor]:
+        """The fields as prefix.field, in declaration order; a None field is left out."""
+        return {f"{prefix}.{f.name}": t for f in fields(self)
+                if (t := getattr(self, f.name)) is not None}
+
+
 @dataclass
-class GRUCellWeights:
+class GRUCellWeights(Weights):
     """Parameters of one gated recurrent unit cell."""
 
     W_u: Tensor
@@ -504,9 +509,6 @@ class GRUCellWeights:
     W_h: Tensor
     U_h: Tensor
     b_h: Tensor
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 def _sigmoid(d: Array, out: Array | None = None) -> Array:
@@ -553,15 +555,26 @@ def _gru_step(xw: Array, h: Array, U: Array, b: Array,
     return h_new, ur, c
 
 
-def _gru_step_grads(g: Array, h: Array, ur: Array, c: Array,
-                    keep: Array | None, drop: Array | None, U: Array,
-                    h_parts: bool) -> tuple[Array, list[Array]]:
-    """Backward of `_gru_step` for the gradient g of h'.
+def _gate_stacks(cells: Sequence[GRUCellWeights]) -> tuple[Array, Array, Array]:
+    """W, U and b of the cells as [gate u/r/h, cell, rows, u] arrays, b with one row."""
+    arrays = [[getattr(w, f"{kind}_{gate}").data for gate in "urh" for w in cells]
+              for kind in "WUb"]
+    return tuple(np.concatenate(a).reshape(3, len(cells), -1, a[0].shape[-1]) for a in arrays)
 
-    Returns (dg, parts): dg stacks the three pre-activations' gradients
-    (u, r, candidate) as [gate u/r/h, *h.shape], and parts are, if h_parts,
-    the parts of h's gradient in the order the op-by-op composition's tape
-    added them: carry (masked steps only), (1-u)*h, r*h, U_r, U_u.
+
+def _gru_step_backward(cells: Sequence[GRUCellWeights], g: Array, x: Array, h: Array,
+                       ur: Array, c: Array, keep: Array | None, drop: Array | None, U: Array,
+                       h_parts: bool) -> tuple[Array, list[Array], list[tuple]]:
+    """Backward of `_gru_step` for the gradient g of h', the one definition
+    of its gradient arithmetic.
+
+    x is the step's [cell, B, d_in] input, and the rest are as `_gru_step`
+    took and returned them.  Returns (dg, parts, pairs): dg stacks the three
+    pre-activations' gradients (u, r, candidate) as [gate u/r/h, *h.shape];
+    parts are, if h_parts, the parts of h's gradient in the order the
+    op-by-op composition's tape added them: carry (masked steps only),
+    (1-u)*h, r*h, U_r, U_u; and pairs[d] holds cell d's nine (weight, part)
+    pairs in the order one step of the composition's tape visited them.
     """
     u, r = ur
     omu = 1.0 - u
@@ -591,32 +604,24 @@ def _gru_step_grads(g: Array, h: Array, ur: Array, c: Array,
     du *= omu                          # pre-sigmoid
     if h_parts:
         parts.append(du @ U_T[0])
-    return dg, parts
+    # the weights' gradients, stacked as dg is
+    gW, gU, gU_h, gb = (x.transpose(0, 2, 1) @ dg, h.transpose(0, 2, 1) @ dg[:2],
+                        (r * h).transpose(0, 2, 1) @ dg[2], dg.sum(axis=2))
+    pairs = [((cell.W_h, gW[2, d]), (cell.U_h, gU_h[d]), (cell.b_h, gb[2, d]),
+              (cell.W_r, gW[1, d]), (cell.U_r, gU[1, d]), (cell.b_r, gb[1, d]),
+              (cell.W_u, gW[0, d]), (cell.U_u, gU[0, d]), (cell.b_u, gb[0, d]))
+             for d, cell in enumerate(cells)]
+    return dg, parts, pairs
 
 
-def _gate_stacks(cells: Sequence[GRUCellWeights]) -> tuple[Array, Array, Array]:
-    """W, U and b of the cells as [gate u/r/h, cell, rows, u] arrays, b with one row."""
-    arrays = [[getattr(w, f"{kind}_{gate}").data for gate in "urh" for w in cells]
-              for kind in "WUb"]
-    return tuple(np.concatenate(a).reshape(3, len(cells), -1, a[0].shape[-1]) for a in arrays)
-
-
-def _gru_weight_grads(x: Array, h: Array, ur: Array, dg: Array) -> tuple[Array, ...]:
-    """One step's weight gradients from its pre-activation gradients dg
-    ([gate u/r/h, cell, B, u]), its [cell, B, d_in] input x and its
-    `_gru_step` values: (W, (U_u, U_r), U_h, b) stacked as dg is."""
-    return (x.transpose(0, 2, 1) @ dg, h.transpose(0, 2, 1) @ dg[:2],
-            (ur[1] * h).transpose(0, 2, 1) @ dg[2], dg.sum(axis=2))
-
-
-def _cell_parts(cell: GRUCellWeights, w_grads: tuple[Array, ...], d: int
-                ) -> tuple[tuple[Tensor, Array], ...]:
-    """The (weight, part) pairs of cell, stacked at d in `_gru_weight_grads`,
-    in the order one step of the composition's tape visited them."""
-    gW, gU, gU_h, gb = w_grads
-    return ((cell.W_h, gW[2, d]), (cell.U_h, gU_h[d]), (cell.b_h, gb[2, d]),
-            (cell.W_r, gW[1, d]), (cell.U_r, gU[1, d]), (cell.b_r, gb[1, d]),
-            (cell.W_u, gW[0, d]), (cell.U_u, gU[0, d]), (cell.b_u, gb[0, d]))
+def _fold(parts: list[Array]) -> Array:
+    """Left-to-right sum of gradient parts, as the tape adds them."""
+    if len(parts) == 1:
+        return parts[0]
+    total = parts[0] + parts[1]
+    for part in parts[2:]:
+        total += part
+    return total
 
 
 def _by_step(a: Array) -> Array:
@@ -648,8 +653,9 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights]) -> Tensor:
     inside `decoder.decode_train`'s node.
 
     The two cells step in lockstep on [2, B, u] stacks, with the input
-    projections computed before the loop.  Each backward step takes its
-    weight gradients in one matmul per kind and writes its input gradients
+    projections computed before the loop.  Each backward step runs
+    `_gru_step_backward`, as the decode node's do, which takes the weight
+    gradients in one matmul per kind; the layer writes its input gradients
     in place, one matmul per cell.
 
     Per step the node keeps only the gates u, r and the candidate c.  Its
@@ -659,7 +665,7 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights]) -> Tensor:
     forward's had, so every matmul rounds as it did there.
 
     Outputs and gradients are bit-identical to the op-by-op composition
-    (matmul, add, bias_add, sigmoid, tanh, mul, neg, scale_rows, concat):
+    (matmul, add, bias_add, sigmoid, tanh, mul, scale_rows, concat):
     each stacked product is the same 2-d matmul, and the backward hands the
     tape each input's gradient parts in that composition's order: three
     parts of x per cell (W_h, W_r, W_u) and one of each weight per step;
@@ -717,26 +723,24 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights]) -> Tensor:
         W, U, _ = _gate_stacks(cells)  # the forward's are not kept
         W_T = W.transpose(0, 1, 3, 2)
         px = np.empty((3, 2, b, t, d_in)) if x_rg else None  # [gate h/r/u, direction, B, T, d_in]
-        w_grads, h_parts = [], []  # w_grads from the last step to the first
+        steps, h_parts = [], []  # each step's weight pairs, from the last step to the first
         for i in range(t - 1, -1, -1):
             # step i's output gradient, then step i+1's parts for its state,
             # in the order the tape added them
-            gh = np.stack([g4[:, i, 0], g4[:, t - 1 - i, 1]])
-            gh = gh if i == t - 1 else gh + h_parts[0]
-            for part in h_parts[1:]:
-                gh += part
+            gh = _fold([np.stack([g4[:, i, 0], g4[:, t - 1 - i, 1]]), *h_parts])
             ur, c = saved[i]
             h = before[i - 1] if i else h_first
-            dg, h_parts = _gru_step_grads(gh, h, ur, c, keep[i], drop[i], U, i > 0)
-            w_grads.append(_gru_weight_grads(xd[i], h, ur, dg))
+            dg, h_parts, pairs = _gru_step_backward(cells, gh, xd[i], h, ur, c, keep[i], drop[i],
+                                                    U, i > 0)
+            steps.append(pairs)
             if x_rg:
                 np.matmul(dg[:, 0], W_T[:, 0], out=px[::-1, 0, :, i])
                 np.matmul(dg[:, 1], W_T[:, 1], out=px[::-1, 1, :, t - 1 - i])
-        pairs = [(x, p) for d in (1, 0) for p in px[:, d].reshape(3, b, t * d_in)] if x_rg else []
+        if x_rg:
+            yield from ((x, p) for d in (1, 0) for p in px[:, d].reshape(3, b, t * d_in))
         for d in (1, 0):
-            for step_grads in w_grads:
-                pairs += _cell_parts(cells[d], step_grads, d)
-        return pairs
+            for pairs in steps:
+                yield from pairs[d]
 
     return _record_pairs(inputs, Tensor(out), backward)
 

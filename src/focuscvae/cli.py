@@ -51,26 +51,20 @@ def build_parser() -> argparse.ArgumentParser:
     tn.add_argument("--paper-init", action="store_true",
                     help="the paper's uniform(-1, 1) parameter init (sets init_scale 1.0)")
 
-    gen = sub.add_parser("generate", help="sample responses for every post in a corpus")
-    gen.add_argument("--checkpoint", type=Path, required=True)
-    gen.add_argument("--corpus", type=Path, required=True, help="posts to respond to")
-    gen.add_argument("--vocab", type=Path, default=None,
-                     help="vocabulary JSON (default: vocab.json next to the corpus)")
-    gen.add_argument("--out", type=Path, required=True)
-    gen.add_argument("--n-samples", type=int, default=3)
-    gen.add_argument("--max-len", type=int, default=None,
-                     help="default: twice the longest training response")
-    gen.add_argument("--seed", type=int, default=0)
-
-    ev = sub.add_parser("eval", help="generate for a held-out corpus and score it")
-    ev.add_argument("--checkpoint", type=Path, required=True)
-    ev.add_argument("--corpus", type=Path, required=True)
-    ev.add_argument("--vocab", type=Path, default=None,
-                     help="vocabulary JSON (default: vocab.json next to the corpus)")
-    ev.add_argument("--out", type=Path, required=True)
-    ev.add_argument("--n-samples", type=int, default=3)
-    ev.add_argument("--max-len", type=int, default=None)
-    ev.add_argument("--seed", type=int, default=0)
+    # generate and eval take the same flags
+    infer = argparse.ArgumentParser(add_help=False)
+    infer.add_argument("--checkpoint", type=Path, required=True)
+    infer.add_argument("--corpus", type=Path, required=True, help="posts to respond to")
+    infer.add_argument("--vocab", type=Path, default=None,
+                       help="vocabulary JSON (default: vocab.json next to the corpus)")
+    infer.add_argument("--out", type=Path, required=True)
+    infer.add_argument("--n-samples", type=int, default=3)
+    infer.add_argument("--max-len", type=int, default=None,
+                       help="default: twice the longest training response")
+    infer.add_argument("--seed", type=int, default=0)
+    sub.add_parser("generate", parents=[infer],
+                   help="sample responses for every post in a corpus")
+    sub.add_parser("eval", parents=[infer], help="generate for a held-out corpus and score it")
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of the full model")
     gc.add_argument("--variant", choices=VARIANTS, default="focconstrain")

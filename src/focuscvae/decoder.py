@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (Array, GRUCellWeights, Tensor, _cell_parts, _gate_stacks, _gru_step,
-                       _gru_step_grads, _gru_weight_grads, _scatter)
+from .autodiff import (Array, GRUCellWeights, Tensor, _fold, _gate_stacks, _gru_step,
+                       _gru_step_backward, _scatter)
 from .corpus import EOS_ID, PAD_ID
 from .encoders import AffineWeights, affine, init_gru_cell, uniform_init
 from .errors import ValidationError
@@ -83,16 +83,6 @@ def _decode_step(setup: AttentionSetup, stacks: list[tuple[Array, Array, Array]]
     return rows @ W_out, alpha, new_states, coverage, saved
 
 
-def _fold(parts: list[Array]) -> Array:
-    """Left-to-right sum of gradient parts, as the tape adds them."""
-    if len(parts) == 1:
-        return parts[0]
-    total = parts[0] + parts[1]
-    for part in parts[2:]:
-        total += part
-    return total
-
-
 def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSetup,
                  emb_table: Tensor, w: DecoderWeights, init: list[Tensor]
                  ) -> tuple[Tensor, Tensor, list[Tensor]]:
@@ -107,13 +97,14 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
     The node's output holds every step's logits and then the final
     coverage, [B, T*V + Tx], split by two narrows.  Its forward loops
     `_decode_step` and keeps only what the backward reads.  The backward
-    walks the steps in reverse and yields (input, part) pairs, each input's
-    parts in the order the tape visited them when every step was composed
-    of tape primitives (attention, embedding lookup, two one-step GRU
-    layers, concat and affine), so gradients match that composition bit
-    for bit.  Inputs that do not require grad get no pairs, except the
-    cells' weights.  An all-zero coverage gradient counts as none, as when
-    nothing downstream reads the coverage.
+    walks the steps in reverse, each cell's step through the
+    `_gru_step_backward` that `gru_layer` runs too, and yields (input,
+    part) pairs, each input's parts in the order the tape visited them when
+    every step was composed of tape primitives (attention, embedding
+    lookup, two one-step GRU layers, concat and affine), so gradients match
+    that composition bit for bit.  Inputs that do not require grad get no
+    pairs, except the cells' weights.  An all-zero coverage gradient counts
+    as none, as when nothing downstream reads the coverage.
     """
     b, t_max = resp_ids.shape
     if t_max == 0:
@@ -164,12 +155,13 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
             for i in (1, 0):  # the top cell first, as the tape visited them
                 x, h, ur, c = cells[i]
                 W, U, _ = stacks[i]
-                dg, h_parts = _gru_step_grads(_fold(later[i])[None], h, ur, c, None, None, U,
-                                              t > 0 or init[i].requires_grad)
+                dg, h_parts, pairs = _gru_step_backward(
+                    w.cells[i:i + 1], _fold(later[i])[None], x[None], h, ur, c, None, None, U,
+                    t > 0 or init[i].requires_grad)
                 later[i] = [p[0] for p in h_parts]
                 if t == 0:  # the initial state's parts
                     yield from ((init[i], p) for p in later[i])
-                yield from _cell_parts(w.cells[i], _gru_weight_grads(x[None], h, ur, dg), 0)
+                yield from pairs[0]
                 g_x = np.empty((3, b, x.shape[1]))  # x's W_h, W_r and W_u parts
                 np.matmul(dg[:, 0], W.transpose(0, 1, 3, 2)[:, 0], out=g_x[::-1])
                 if i:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GRUCellWeights, Tensor, gru_layer
+from .autodiff import GRUCellWeights, Tensor, Weights, gru_layer
 from .errors import DimensionError, ValidationError
 
 # clamp on every emitted log-variance, so exp(log_var) stays finite
@@ -25,12 +25,9 @@ LOG_VAR_MAX = 10.0
 
 
 @dataclass
-class AffineWeights:
+class AffineWeights(Weights):
     W: Tensor
     b: Tensor
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.W": self.W, f"{prefix}.b": self.b}
 
 
 def affine(x: Tensor, w: AffineWeights) -> Tensor:
@@ -158,9 +155,9 @@ def kl_divergence(q: GaussianParams, p: GaussianParams) -> Tensor:
     if q.mu.shape != p.mu.shape or q.log_var.shape != p.log_var.shape:
         raise DimensionError(
             f"KL needs matching shapes, got mu {q.mu.shape} vs {p.mu.shape}")
-    dlv = ad.add(p.log_var, ad.neg(q.log_var))
-    ratio = ad.exp(ad.add(q.log_var, ad.neg(p.log_var)))
-    dmu = ad.add(q.mu, ad.neg(p.mu))
-    quad = ad.mul(ad.mul(dmu, dmu), ad.exp(ad.neg(p.log_var)))
+    dlv = ad.add(p.log_var, ad.mul(q.log_var, -1.0))
+    ratio = ad.exp(ad.add(q.log_var, ad.mul(p.log_var, -1.0)))
+    dmu = ad.add(q.mu, ad.mul(p.mu, -1.0))
+    quad = ad.mul(ad.mul(dmu, dmu), ad.exp(ad.mul(p.log_var, -1.0)))
     per_dim = ad.add(ad.add(ad.mul(dlv, 0.5), ad.mul(ad.add(ratio, quad), 0.5)), -0.5)
     return ad.sum_cols(per_dim)

@@ -18,34 +18,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Array, Tensor
+from .autodiff import Array, Tensor, Weights
 from .errors import DimensionError, ValidationError
 
 LOG_FOCUS_FLOOR = 1e-30
 
 
 @dataclass
-class FocusWeights:
+class FocusWeights(Weights):
     W_f: Tensor  # [d_in, d_att] position features -> keys
     U_f: Tensor  # [d_z, d_att] z -> query
     v_f: Tensor  # [d_att, 1] query bias, shared by every z
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.W_f": self.W_f, f"{prefix}.U_f": self.U_f, f"{prefix}.v_f": self.v_f}
-
 
 @dataclass
-class AttentionWeights:
+class AttentionWeights(Weights):
     W_a: Tensor          # [d_h, d_att]
     U_a: Tensor          # [d_h, d_att]
     v_a: Tensor          # [d_att, 1]
     V_a: Tensor | None   # [d_h, d_att]; present exactly when the coverage term is on
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.W_a": self.W_a, f"{prefix}.U_a": self.U_a, f"{prefix}.v_a": self.v_a}
-        if self.V_a is not None:
-            out[f"{prefix}.V_a"] = self.V_a
-        return out
 
 
 def focus_generate(features_flat: Tensor, post_mask: np.ndarray, z: Tensor,

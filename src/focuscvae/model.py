@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, Weights
 from .config import TrainConfig, uses_coverage_term, uses_latent
 from .corpus import Batch
 from .decoder import (GenerationResult, decode_train, greedy_decode, init_decoder_weights,
@@ -34,17 +34,13 @@ FOCUS_SCORE_GAIN = 6.0
 
 
 @dataclass
-class BowWeights:
+class BowWeights(Weights):
     """One-hidden-layer tanh net from [z; pooled post] to vocab logits."""
 
     W1: Tensor
     b1: Tensor
     W2: Tensor
     b2: Tensor
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.W1": self.W1, f"{prefix}.b1": self.b1,
-                f"{prefix}.W2": self.W2, f"{prefix}.b2": self.b2}
 
 
 @dataclass

@@ -90,7 +90,7 @@ def focus_loss(coverage: Tensor, resp_lengths: np.ndarray, focus: Tensor) -> Ten
     if coverage.shape != focus.shape:
         raise ValidationError(f"coverage {coverage.shape} vs focus {focus.shape}")
     over_len = ad.scale_rows(coverage, Tensor(1.0 / lengths))
-    diff = ad.add(over_len, ad.neg(focus))
+    diff = ad.add(over_len, ad.mul(focus, -1.0))
     row_norms = ad.sqrt(ad.sum_cols(ad.mul(diff, diff)))
     return ad.mul(ad.sum_all(row_norms), 1.0 / coverage.shape[0])
 

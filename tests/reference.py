@@ -54,7 +54,7 @@ def reference_gru_cell(x, h_prev, w, keep=None):
     r = reference_sigmoid(ad.bias_add(ad.add(ad.matmul(x, w.W_r), ad.matmul(h_prev, w.U_r)), w.b_r))
     c = ad.tanh(ad.bias_add(ad.add(ad.matmul(x, w.W_h), ad.matmul(ad.mul(r, h_prev), w.U_h)),
                             w.b_h))
-    h_new = ad.add(ad.mul(ad.add(ad.neg(u), 1.0), h_prev), ad.mul(u, c))
+    h_new = ad.add(ad.mul(ad.add(ad.mul(u, -1.0), 1.0), h_prev), ad.mul(u, c))
     if keep is None:
         return h_new
     # masked carry: PAD rows keep the previous state

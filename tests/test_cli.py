@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,3 +432,17 @@ def test_input_files_that_are_not_utf8_exit_one(workspace, tmp_path, capsys, whi
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "make-corpus" in capsys.readouterr().out
+
+
+def test_generate_and_eval_take_the_same_flags(capsys):
+    required = ["--checkpoint", "c.bin", "--corpus", "posts.jsonl", "--out", "o"]
+    parsed = [vars(cli.build_parser().parse_args([command, *required]))
+              for command in ("generate", "eval")]
+    assert [p.pop("command") for p in parsed] == ["generate", "eval"]
+    assert parsed[0] == parsed[1] == {
+        "checkpoint": Path("c.bin"), "corpus": Path("posts.jsonl"), "vocab": None,
+        "out": Path("o"), "n_samples": 3, "max_len": None, "seed": 0}
+    for command in ("generate", "eval"):
+        for i in range(0, len(required), 2):  # each required flag left out
+            assert main([command, *required[:i], *required[i + 2:]]) == 1
+    capsys.readouterr()

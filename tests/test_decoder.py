@@ -187,6 +187,24 @@ class TestVariantParameterSets:
         assert {"recognition.W", "prior.W", "focus.v_f", "bow.W1"} <= names
         assert "attention.V_a" not in names
 
+    def test_parameter_names_keep_their_order(self):
+        # the checkpoint layout, Adam's update order and the clip norm's sum
+        # all follow this order, so it is pinned in full, not as a set
+        def cell(prefix):
+            return [f"{prefix}.{name}" for name in
+                    ("W_u", "U_u", "b_u", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")]
+
+        encoder = ["embedding.weight", *cell("encoder.l0.fwd"), *cell("encoder.l0.bwd"),
+                   *cell("encoder.l1.fwd"), *cell("encoder.l1.bwd")]
+        decoder = [*cell("decoder.l0"), *cell("decoder.l1"), "decoder.start",
+                   "decoder.init.W", "decoder.init.b", "decoder.out.W", "decoder.out.b"]
+        assert list(micro_model("s2s").named_parameters()) == [
+            *encoder, "attention.W_a", "attention.U_a", "attention.v_a", *decoder]
+        assert list(micro_model("focconstrain").named_parameters()) == [
+            *encoder, "recognition.W", "recognition.b", "prior.W", "prior.b",
+            "focus.W_f", "focus.U_f", "focus.v_f", "bow.W1", "bow.b1", "bow.W2", "bow.b2",
+            "attention.W_a", "attention.U_a", "attention.v_a", "attention.V_a", *decoder]
+
     def test_coverage_variants_share_one_parameter_set(self):
         a = set(micro_model("foccoverage").named_parameters())
         b = set(micro_model("focconstrain").named_parameters())

@@ -272,7 +272,7 @@ class TestClipping:
         with Tape() as tape:
             # log'(x) = 1/x overflows to infinity at this x, and the two logs'
             # parts, +inf and -inf, add to NaN; the loss is 25
-            logs = ad.add(ad.sum_all(ad.log(x)), ad.neg(ad.sum_all(ad.log(x))))
+            logs = ad.add(ad.sum_all(ad.log(x)), ad.mul(ad.sum_all(ad.log(x)), -1.0))
             loss = ad.add(ad.sum_all(ad.mul(a, a)), logs)
         with np.errstate(over="ignore", invalid="ignore"):
             tape.backward(loss)

@@ -29,12 +29,13 @@ same number of steps, as the runs are time-bounded.
 runs a fixed CLI recipe on both sides instead, side by side, one process
 per side: `make-corpus --seed 7`; 150 steps of each variant at seed 0 with
 the desk config of README.md, each followed by `eval` and `generate` of the
-500 held-out posts x 3 samples; and an 800-step `focconstrain` run with its
+500 held-out posts x 3 samples; an 800-step `focconstrain` run with its
 `eval`, which trains past the 200 warm-up steps that the short runs never
-leave.  It compares the two output trees file by file (loss logs,
-checkpoints, reports, samples and alignment files), prints the file count
-and the first file that differs or is missing, and exits 1 on any
-difference.
+leave; and `gradcheck --variant V` of each variant, its printed report
+written to `gradcheck/V.txt`.  It compares the two output trees file by
+file (loss logs, checkpoints, reports, samples, alignment files and
+gradient checks), prints the file count and the first file that differs
+or is missing, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -187,12 +188,13 @@ def run_recipe(checkout: Path, work: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-    def cli(*args: str) -> None:
+    def cli(*args: str) -> str:
         proc = subprocess.run([sys.executable, "-m", "focuscvae.cli", *args], cwd=work, env=env,
                               capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(f"{checkout}: focuscvae {' '.join(args)} exited "
                                f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+        return proc.stdout
 
     work.mkdir(parents=True)
     (work / "desk.json").write_text(json.dumps(DESK_CONFIG) + "\n")
@@ -206,6 +208,9 @@ def run_recipe(checkout: Path, work: Path) -> None:
         cli("eval", *held_out, "--out", f"eval/{name}")
         if steps == "150":
             cli("generate", *held_out, "--out", f"generate/{name}")
+    (work / "gradcheck").mkdir()
+    for variant in PARITY_VARIANTS:
+        (work / "gradcheck" / f"{variant}.txt").write_text(cli("gradcheck", "--variant", variant))
 
 
 def compare_trees(a: Path, b: Path) -> tuple[int, list[str]]:
