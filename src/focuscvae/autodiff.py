@@ -6,6 +6,11 @@ records one node per primitive op, in execution order, which is a topological
 order by construction.  `tape.backward(loss)` walks the nodes once in reverse
 and deposits gradients into the leaf tensors that asked for them.
 
+Which gradients are kept is decided in one place, `Tape.backward`: every
+backward rule and fused node hands the tape a part for each input it reads,
+and the tape drops the parts of tensors that do not require grad.  A
+constant operand's part (a mask, eps, a scalar) is computed and dropped.
+
 Only two broadcasting forms exist on the elementwise ops: equal shapes, and
 a constant scalar against a tensor; a size-1 operand that requires grad is
 refused, so no gradient is ever summed back onto one.  Row/column
@@ -77,12 +82,12 @@ def _as_tensor(x) -> Tensor:
 
 @dataclass
 class _Node:
-    """One recorded op.  backward(g) returns, or yields, (input, part) pairs,
-    a part being None where no gradient is wanted.  An input may come in
-    several pairs, and the tape adds its parts in that order."""
+    """One recorded op.  backward(g) returns, or yields, an (input, part)
+    pair for every input it reads.  An input may come in several pairs, and
+    the tape adds its parts in that order."""
 
     out: Tensor
-    backward: Callable[[Array], Iterable[tuple[Tensor, Array | None]]]
+    backward: Callable[[Array], Iterable[tuple[Tensor, Array]]]
 
 
 class Tape:
@@ -113,10 +118,12 @@ class Tape:
         the parts of an input that comes in several pairs are added in the
         order the node yields them.
 
-        A first part is kept as its rule returned it, which may be an array
-        the rule also handed elsewhere or a view; the second is added into a
-        fresh array that the tape owns, and later parts go into that one in
-        place.
+        This is the one place that decides which gradients are kept: a pair
+        whose tensor does not require grad is skipped, so no rule or fused
+        node tests `requires_grad`.  A first part is kept as its rule
+        returned it, which may be an array the rule also handed elsewhere or
+        a view; the second is added into a fresh array that the tape owns,
+        and later parts go into that one in place.
 
         The pass consumes the tape: each node leaves `nodes` as it is
         visited, and with it its output and whatever its rule kept, once no
@@ -140,7 +147,7 @@ class Tape:
                 continue  # dead branch: output never influenced the root
             owned.discard(out_key)
             for inp, gi in node.backward(g):
-                if gi is None:
+                if not inp.requires_grad:
                     continue
                 key = id(inp)
                 if key in owned:
@@ -173,8 +180,8 @@ def _record_pairs(inputs: tuple[Tensor, ...], out: Tensor, backward) -> Tensor:
 
 
 def _record(inputs: tuple[Tensor, ...], out: Tensor, rule) -> Tensor:
-    """Record a primitive whose rule(g) returns one part (or None) per entry
-    of inputs."""
+    """Record a primitive whose rule(g) returns one part per entry of
+    inputs."""
     return _record_pairs(inputs, out, lambda g: zip(inputs, rule(g), strict=True))
 
 
@@ -198,22 +205,14 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes(a, b, "add")
     out = Tensor(a.data + b.data)
-
-    def backward(g: Array):
-        return (g if a.requires_grad else None, g if b.requires_grad else None)
-
-    return _record((a, b), out, backward)
+    return _record((a, b), out, lambda g: (g, g))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes(a, b, "mul")
     out = Tensor(a.data * b.data)
-
-    def backward(g: Array):
-        return (g * b.data if a.requires_grad else None, g * a.data if b.requires_grad else None)
-
-    return _record((a, b), out, backward)
+    return _record((a, b), out, lambda g: (g * b.data, g * a.data))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -264,14 +263,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions {a.shape} x {b.shape} do not match")
     out = Tensor(a.data @ b.data)
-
-    def backward(g: Array):
-        return (
-            g @ b.data.T if a.requires_grad else None,
-            a.data.T @ g if b.requires_grad else None,
-        )
-
-    return _record((a, b), out, backward)
+    return _record((a, b), out, lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
@@ -279,14 +271,7 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
         raise DimensionError(f"bias_add: shapes {x.shape} and {b.shape} do not conform")
     out = Tensor(x.data + b.data)
-
-    def backward(g: Array):
-        return (
-            g if x.requires_grad else None,
-            g.sum(axis=0) if b.requires_grad else None,
-        )
-
-    return _record((x, b), out, backward)
+    return _record((x, b), out, lambda g: (g, g.sum(axis=0)))
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -296,12 +281,8 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     except ValueError as e:
         raise DimensionError(f"concat: {e}") from None
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def backward(g: Array):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] if p.requires_grad else None
-                     for i, p in enumerate(parts))
-
-    return _record(tuple(parts), out, backward)
+    return _record(tuple(parts), out,
+                   lambda g: tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts))))
 
 
 def narrow(x: Tensor, start: int, length: int) -> Tensor:
@@ -343,14 +324,8 @@ def scale_rows(x: Tensor, s: Tensor) -> Tensor:
         raise DimensionError(f"scale_rows: shapes {x.shape} and {s.shape} do not conform")
     col = s.data.reshape(-1, 1)
     out = Tensor(x.data * col)
-
-    def backward(g: Array):
-        return (
-            g * col if x.requires_grad else None,
-            (g * x.data).sum(axis=1).reshape(s.shape) if s.requires_grad else None,
-        )
-
-    return _record((x, s), out, backward)
+    return _record((x, s), out,
+                   lambda g: (g * col, (g * x.data).sum(axis=1).reshape(s.shape)))
 
 
 def masked_mean(x: Tensor, mask) -> Tensor:
@@ -709,7 +684,6 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights]) -> Tensor:
         out[:, i, 0] = h[0]
         out[:, t - 1 - i, 1] = h[1]
     out = out.reshape(b, t * 2 * units)
-    x_rg = x.requires_grad
 
     def backward(g: Array):
         g4 = g.reshape(b, t, 2, units)
@@ -722,7 +696,7 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights]) -> Tensor:
         before[:, 1] = out4[:, t - 1:0:-1, 1].transpose(1, 0, 2)
         W, U, _ = _gate_stacks(cells)  # the forward's are not kept
         W_T = W.transpose(0, 1, 3, 2)
-        px = np.empty((3, 2, b, t, d_in)) if x_rg else None  # [gate h/r/u, direction, B, T, d_in]
+        px = np.empty((3, 2, b, t, d_in))  # [gate h/r/u, direction, B, T, d_in]
         steps, h_parts = [], []  # each step's weight pairs, from the last step to the first
         for i in range(t - 1, -1, -1):
             # step i's output gradient, then step i+1's parts for its state,
@@ -733,11 +707,10 @@ def gru_layer(x: Tensor, mask, cells: Sequence[GRUCellWeights]) -> Tensor:
             dg, h_parts, pairs = _gru_step_backward(cells, gh, xd[i], h, ur, c, keep[i], drop[i],
                                                     U, i > 0)
             steps.append(pairs)
-            if x_rg:
-                np.matmul(dg[:, 0], W_T[:, 0], out=px[::-1, 0, :, i])
-                np.matmul(dg[:, 1], W_T[:, 1], out=px[::-1, 1, :, t - 1 - i])
-        if x_rg:
-            yield from ((x, p) for d in (1, 0) for p in px[:, d].reshape(3, b, t * d_in))
+            np.matmul(dg[:, 0], W_T[:, 0], out=px[::-1, 0, :, i])
+            np.matmul(dg[:, 1], W_T[:, 1], out=px[::-1, 1, :, t - 1 - i])
+        del g4, xd, out4, before  # not held while the tape adds the pairs
+        yield from ((x, p) for d in (1, 0) for p in px[:, d].reshape(3, b, t * d_in))
         for d in (1, 0):
             for pairs in steps:
                 yield from pairs[d]

@@ -102,9 +102,9 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
     part) pairs, each input's parts in the order the tape visited them when
     every step was composed of tape primitives (attention, embedding
     lookup, two one-step GRU layers, concat and affine), so gradients match
-    that composition bit for bit.  Inputs that do not require grad get no
-    pairs, except the cells' weights.  An all-zero coverage gradient counts
-    as none, as when nothing downstream reads the coverage.
+    that composition bit for bit.  Every input gets its pairs, and the tape
+    drops those of inputs that do not require grad.  An all-zero coverage
+    gradient counts as none, as when nothing downstream reads the coverage.
     """
     b, t_max = resp_ids.shape
     if t_max == 0:
@@ -146,10 +146,8 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
         for t in range(t_max - 1, -1, -1):
             attended, cells, rows = saved[t]
             g_logits = g[:, t * vocab:(t + 1) * vocab]
-            if w.out.b.requires_grad:
-                yield w.out.b, g_logits.sum(axis=0)
-            if w.out.W.requires_grad:
-                yield w.out.W, rows.T @ g_logits
+            yield w.out.b, g_logits.sum(axis=0)
+            yield w.out.W, rows.T @ g_logits
             g_rows = g_logits @ w.out.W.data.T
             later[1].append(g_rows[:, :d_h])
             for i in (1, 0):  # the top cell first, as the tape visited them
@@ -157,7 +155,7 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
                 W, U, _ = stacks[i]
                 dg, h_parts, pairs = _gru_step_backward(
                     w.cells[i:i + 1], _fold(later[i])[None], x[None], h, ur, c, None, None, U,
-                    t > 0 or init[i].requires_grad)
+                    True)
                 later[i] = [p[0] for p in h_parts]
                 if t == 0:  # the initial state's parts
                     yield from ((init[i], p) for p in later[i])
@@ -166,14 +164,13 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
                 np.matmul(dg[:, 0], W.transpose(0, 1, 3, 2)[:, 0], out=g_x[::-1])
                 if i:
                     later[0] += list(g_x)
-            if t and emb_table.requires_grad:
+            if t:
                 yield emb_table, _scatter(emb_table.data, resp_ids[:, t - 1], _fold(list(g_x)))
-            elif not t and w.start.requires_grad:
+            else:
                 yield w.start, _fold(list(g_x)).reshape(1, b, -1).sum(axis=1)
             g_query, g_cov = yield from attend_grads(setup, attended, g_rows[:, d_h:], g_cov, t > 0)
             later[1].append(g_query)
-        if init[1].requires_grad:
-            yield init[1], g_query
+        yield init[1], g_query
 
     node = ad._record_pairs(inputs, Tensor(out), backward)
     logits = ad.reshape(ad.narrow(node, 0, t_max * vocab), (b * t_max, vocab))

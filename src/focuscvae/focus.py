@@ -153,11 +153,11 @@ def attend_grads(setup: AttentionSetup, saved: tuple, g_context: Array,
     its updated coverage (None when none reaches it).
 
     A generator: it yields a (tensor, part) pair for each tensor of the
-    setup that reads the step and requires grad: the context rows, the log
-    focus, v_a, V_a and the states of the coverage summary, the base and
-    U_a.  It returns the gradients of s_prev and, if coverage_grad, of the
-    coverage it read (else None).  Every part is the array the
-    composition's tape handed on, and the pairs come in that tape's order.
+    setup that reads the step: the context rows, the log focus, v_a, V_a
+    and the states of the coverage summary, the base and U_a.  It returns
+    the gradients of s_prev and, if coverage_grad, of the coverage it read
+    (else None).  Every part is the array the composition's tape handed on,
+    and the pairs come in that tape's order.
 
     The gradients of the repeated rows are broadcasts, not copies, and the
     energy rows are summed by group once, for both the query and the
@@ -175,33 +175,27 @@ def attend_grads(setup: AttentionSetup, saved: tuple, g_context: Array,
         g_alpha = g_coverage * keep
     g_rows = g_context[:, None]  # the context's gradient, broadcast over positions
     context_flat = setup.context_flat
-    if context_flat.requires_grad:
-        yield context_flat, (g_rows * alpha[:, :, None]).reshape(b * length, -1)
+    yield context_flat, (g_rows * alpha[:, :, None]).reshape(b * length, -1)
     g_read = (g_rows * context_flat.data.reshape(b, length, -1)).sum(axis=-1)
     g_alpha = g_read if g_coverage is None else g_alpha + g_read
     dot = (g_alpha * alpha).sum(axis=1, keepdims=True)
     g_scores = alpha * (g_alpha - dot)  # softmax
-    if setup.log_focus is not None and setup.log_focus.requires_grad:
+    if setup.log_focus is not None:
         yield setup.log_focus, g_scores
     g_scores = g_scores.reshape(b * length, 1)
-    if w.v_a.requires_grad:
-        yield w.v_a, energy.T @ g_scores
+    yield w.v_a, energy.T @ g_scores
     g_energy = (g_scores @ w.v_a.data.T) * (1.0 - energy * energy)  # through tanh
     g_query = _sum_groups(g_energy, length)  # also the coverage summary's gradient
     if w.V_a is not None:
-        if w.V_a.requires_grad:
-            yield w.V_a, summary.T @ g_query
+        yield w.V_a, summary.T @ g_query
         g_rows = (g_query @ w.V_a.data.T)[:, None]
         states = setup.states_flat
-        if states.requires_grad:
-            yield states, (g_rows * coverage[:, :, None]).reshape(b * length, -1)
+        yield states, (g_rows * coverage[:, :, None]).reshape(b * length, -1)
         if coverage_grad:
             g_read = (g_rows * states.data.reshape(b, length, -1)).sum(axis=-1)
             g_prev = g_read if g_prev is None else g_prev + g_read
-    if setup.base.requires_grad:
-        yield setup.base, g_energy
-    if w.U_a.requires_grad:
-        yield w.U_a, s_prev.T @ g_query
+    yield setup.base, g_energy
+    yield w.U_a, s_prev.T @ g_query
     return g_query @ w.U_a.data.T, g_prev
 
 

@@ -208,7 +208,7 @@ def test_backward_folds_parts_in_listed_order_and_never_writes_into_them():
     def spy(rule):
         def wrapped(g):
             pairs = list(rule(g))
-            returned.extend((part, part.copy()) for _, part in pairs if part is not None)
+            returned.extend((part, part.copy()) for _, part in pairs)
             return pairs
         return wrapped
 
@@ -401,6 +401,8 @@ ENCODE_CASES = {
     # a post and a response through the same weights under one tape
     "post_and_response": dict(batches=[(6, [6, 4, 5]), (3, [2, 3, 1])], n_layers=2),
     "single_row": dict(batches=[(4, [4])], n_layers=2),
+    # a frozen table, so layer 0 reads a frozen x, and one frozen cell in it
+    "frozen": dict(batches=[(5, [5, 3, 1, 4])], n_layers=2, frozen=("emb", "enc.l0.fwd.")),
 }
 
 
@@ -414,6 +416,9 @@ def _encode_case(case, encoder):
     weights = init_encoder_weights(rng, d_in, d_h, n_layers=case["n_layers"], scale=0.6)
     if case.get("tied"):
         weights.layers[0] = (weights.layers[0][0], weights.layers[0][0])
+    named = {"emb": emb, **weights.named("enc")}
+    for k, p in named.items():
+        p.requires_grad = not k.startswith(case.get("frozen", ()))
     batches = []
     for t, lengths in case["batches"]:
         ids = rng.integers(1, vocab, size=(len(lengths), t))
@@ -429,7 +434,6 @@ def _encode_case(case, encoder):
             loss = ad.add(loss, ad.sum_all(ad.mul(ad.tanh(flat), probe)))
             loss = ad.add(loss, ad.sum_all(ad.mul(pooled, pooled)))
     tape.backward(loss)
-    named = {"emb": emb, **weights.named("enc")}
     return ([a.data for out in outs for a in out],
             {k: p.grad for k, p in named.items()}, n_nodes)
 
@@ -444,13 +448,18 @@ def test_bigru_layer_encode_is_bit_identical_to_the_per_step_nodes(name):
     case = ENCODE_CASES[name]
     outs, grads, nodes = _encode_case(case, _encode_layer)
     ref_outs, ref_grads, _ = _encode_case(case, reference_encode)
-    # the lookup, one node per layer, the reshape and the mean
-    assert nodes == sum(3 + case["n_layers"] for _ in case["batches"])
+    frozen = case.get("frozen", ())
+    # the lookup (none from a frozen table), one node per layer, the reshape and the mean
+    lookups = "emb" not in frozen
+    assert nodes == sum(2 + lookups + case["n_layers"] for _ in case["batches"])
     for a, b in zip(outs, ref_outs):
         assert np.array_equal(a, b)
     assert grads.keys() == ref_grads.keys()
     for k in grads:
-        assert np.array_equal(grads[k], ref_grads[k]), k
+        if k.startswith(frozen):
+            assert grads[k] is None and ref_grads[k] is None, k
+        else:
+            assert grads[k].tobytes() == ref_grads[k].tobytes(), k
 
 
 def test_embedding_block_is_bit_identical_to_one_column_lookups_and_their_concat():
@@ -597,6 +606,19 @@ def test_a_node_s_pairs_add_as_one_node_per_part_would():
     assert a.grad.tobytes() == a1.grad.tobytes() == ((p0 + p1) + p2).tobytes()
     assert c.grad.tobytes() == c1.grad.tobytes() == c_part.tobytes()
     assert a.grad.tobytes() != ((p2 + p1) + p0).tobytes()
+
+
+def test_the_tape_drops_the_parts_of_a_tensor_that_needs_no_gradient():
+    rng = np.random.default_rng(9)
+    x_parts = [rng.normal(size=4) * scale for scale in (1e8, 1.0, 1e-8)]
+    x = Tensor(np.zeros(4), requires_grad=True)
+    c = Tensor(np.zeros(4))  # frozen: its parts, of shapes that could not be added, are dropped
+    pairs = [(x, x_parts[0]), (c, np.ones(3)), (x, x_parts[1]), (c, np.ones(5)), (x, x_parts[2])]
+    with Tape() as tape:
+        out = ad._record_pairs((x, c), Tensor([0.0]), lambda g: iter(pairs))
+    tape.backward(out)
+    assert c.grad is None
+    assert x.grad.tobytes() == ((x_parts[0] + x_parts[1]) + x_parts[2]).tobytes()
 
 
 def test_grad_check_reports_per_tensor():

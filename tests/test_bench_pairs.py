@@ -42,6 +42,29 @@ def test_pairs_are_won_in_the_metric_s_direction():
     assert heavier["change_wins"] == "1/2" and not heavier["within_bound"]
 
 
+def test_each_metric_gets_one_verdict():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.2, 9.8]
+    # 9 of 10 pairs won by more than the parent's quartile distance (0.3)
+    gain = bench_pairs.compare(parent, [p + 1.0 for p in parent[:9]] + [9.0], "higher", 0.2)
+    assert gain["change_wins"] == "9/10" and gain["verdict"] == "gain"
+    # 8 of 10 is no gain, and inside a narrow spread no regression either
+    eight = bench_pairs.compare(parent, [p + 1.0 for p in parent[:8]] + [9.0, 9.0], "higher", 0.2)
+    assert eight["change_wins"] == "8/10" and eight["verdict"] == "no regression"
+    # a gap below the parent's quartile distance is no gain, though every pair is won
+    small = bench_pairs.compare(parent, [p + 0.1 for p in parent], "higher", 0.2)
+    assert small["change_wins"] == "10/10" and small["verdict"] == "no regression"
+    # 20% more memory against a bound of 10%
+    heavier = bench_pairs.compare([60.0, 61.0, 59.0], [72.0, 73.0, 71.0], "lower", 0.1)
+    assert heavier["verdict"] == "regression" and not heavier["within_bound"]
+    # the change's quartile distance, 8.5, is 68% of the parent's median
+    # against a bound of 20%, and the runs interleave
+    wide = bench_pairs.compare([5.0, 10.0, 15.0, 20.0], [6.0, 9.0, 16.0, 19.0], "lower", 0.2)
+    assert wide["spread"] == 0.68 and wide["within_bound"] and wide["verdict"] == "unresolved"
+    # as wide, but every change run beats every parent run
+    apart = bench_pairs.compare([0.0, 9.0, 10.0, 10.0], [10.1] * 4, "higher", 0.2)
+    assert apart["spread"] > 0.2 and apart["verdict"] == "no regression"
+
+
 def test_trees_compare_file_by_file(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for root in (a, b):

@@ -290,12 +290,11 @@ def test_decode_node_is_bit_identical_to_the_composition(monkeypatch, variant, r
         assert g.tobytes() == ref_grads[name].tobytes(), name
 
 
-def decode_case(rng, coverage, focus, t_max, init_grad, b=3, length=4, d_h=4, d_emb=3,
-                vocab=6):
+def decode_case(rng, coverage, focus, t_max, frozen, b=3, length=4, d_h=4, d_emb=3, vocab=6):
     """Leaf inputs of one decode: a setup built from leaf states and focus,
-    an embedding table, decoder weights and two initial states."""
-    leaf = lambda *shape, grad=True: Tensor(rng.uniform(-0.8, 0.8, size=shape),
-                                            requires_grad=grad)
+    an embedding table, decoder weights and two initial states.  The leaves
+    whose names start with one of frozen do not require grad."""
+    leaf = lambda *shape: Tensor(rng.uniform(-0.8, 0.8, size=shape), requires_grad=True)
     mask = np.ones((b, length), dtype=bool)
     mask[1, 2:] = False
     mask[2, 1] = False
@@ -306,7 +305,7 @@ def decode_case(rng, coverage, focus, t_max, init_grad, b=3, length=4, d_h=4, d_
                           V_a=leaf(d_h, d_h) if coverage else None)
     emb = leaf(vocab, d_emb)
     dec = init_decoder_weights(rng, d_emb, d_h, 2, d_h + 2, vocab, 0.8)
-    init = [leaf(b, d_h, grad=init_grad), leaf(b, d_h, grad=init_grad)]
+    init = [leaf(b, d_h), leaf(b, d_h)]
     resp_ids = rng.integers(0, vocab, size=(b, t_max))
     resp_mask = np.arange(t_max)[None, :] < np.array([t_max, 1, max(1, t_max - 1)])[:, None]
     probe = Tensor(rng.normal(size=(b, d_h)))
@@ -315,6 +314,8 @@ def decode_case(rng, coverage, focus, t_max, init_grad, b=3, length=4, d_h=4, d_
               **{k: v for k, v in dec.named("dec").items() if not k.startswith("dec.init.")}}
     if focus:
         leaves["focus"] = focus_leaf
+    for name, p in leaves.items():
+        p.requires_grad = not name.startswith(frozen)
 
     def loss(decode):
         focus_t = None if focus_leaf is None else ad.softmax(focus_leaf, mask)
@@ -340,25 +341,31 @@ def run_decode(loss, leaves, decode):
     return [total.data] + values, {k: p.grad for k, p in leaves.items()}
 
 
+# the leaves each case freezes: none, the initial states, or the attention
+# weights, the embedding table and the context rows
+FROZEN = {"init_grad": (), "init_frozen": ("init",), "setup_frozen": ("att.", "emb", "context")}
+
+
 @pytest.mark.parametrize("t_max", [1, 3])
-@pytest.mark.parametrize("init_grad", [True, False], ids=["init_grad", "init_frozen"])
+@pytest.mark.parametrize("frozen", list(FROZEN))
 @pytest.mark.parametrize("coverage,focus", [(False, False), (False, True), (True, True)],
                          ids=["s2s", "foc", "coverage"])
-def test_decode_node_matches_the_composition_with_leaf_inputs(coverage, focus, init_grad, t_max):
-    loss, leaves = decode_case(np.random.default_rng(41), coverage, focus, t_max, init_grad)
+def test_decode_node_matches_the_composition_with_leaf_inputs(coverage, focus, frozen, t_max):
+    frozen = FROZEN[frozen]
+    loss, leaves = decode_case(np.random.default_rng(41), coverage, focus, t_max, frozen)
     values, grads = run_decode(loss, leaves, decode_train)
     ref_values, ref_grads = run_decode(loss, leaves, reference_decode_train)
     for a, b in zip(values, ref_values, strict=True):
         assert a.tobytes() == b.tobytes()
     for name, g in grads.items():
-        if name.startswith("init") and not init_grad:
-            assert g is None and ref_grads[name] is None
+        if name.startswith(frozen):
+            assert g is None and ref_grads[name] is None, name
             continue
         assert g is not None and g.tobytes() == ref_grads[name].tobytes(), name
 
 
 def test_decode_node_gradients_match_finite_differences():
-    loss, leaves = decode_case(np.random.default_rng(43), True, True, 3, True, length=3,
+    loss, leaves = decode_case(np.random.default_rng(43), True, True, 3, (), length=3,
                                d_h=2, d_emb=2, vocab=4)
     # the loss is about 29, so rounding, not truncation, sets the
     # error: 1.6e-6 at h = 1e-5 and 2.1e-7 at h = 1e-4

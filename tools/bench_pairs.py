@@ -15,9 +15,9 @@ even-numbered pairs and the change first in odd ones.
 The JSON written holds, per workload, every pair's end-to-end metrics, their
 medians and quartiles (numpy linear percentiles over the pairs), the pairs
 the change won, the change against the parent at the median and the bound of
-BENCHMARK.json, and every run's output digests.  A --traced pair runs
-`--trace 1` once per side and keeps all its metrics, per-layer timings and
-tape-node counts included.
+BENCHMARK.json, one verdict per metric (see `compare`), and every run's
+output digests.  A --traced pair runs `--trace 1` once per side and keeps
+all its metrics, per-layer timings and tape-node counts included.
 
 Exits 1 when a run fails its own checks or when any pair's output digests
 differ (the JSON is written first, to show which), else 0.  A training run's
@@ -128,19 +128,42 @@ def summarize(values: list[float]) -> dict:
 
 
 def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """One metric over the pairs, the change against the parent."""
+    """One metric over the pairs, the change against the parent, with its verdict:
+
+    - "gain": the change wins at least 9 of 10 pairs and its median is
+      better than the parent's by more than the parent's quartile distance;
+    - "regression": the change's median is worse than the parent's by more
+      than the bound;
+    - "unresolved": the spread, the wider quartile distance of the two
+      sides over the parent's median, exceeds the bound, and not every
+      change run beats every parent run;
+    - "no regression" otherwise.
+    """
     sign = 1.0 if better == "higher" else -1.0
     p, c = summarize(parent), summarize(change)
     wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
     shift = c["median"] / p["median"] - 1.0 if p["median"] else 0.0
+    within_bound = sign * shift >= -bound
+    quartiles = p["q3"] - p["q1"]
+    spread = max(quartiles, c["q3"] - c["q1"]) / abs(p["median"]) if p["median"] else 0.0
+    if 10 * wins >= 9 * len(parent) and sign * (c["median"] - p["median"]) > quartiles:
+        verdict = "gain"
+    elif not within_bound:
+        verdict = "regression"
+    elif spread > bound and min(sign * b for b in change) <= max(sign * a for a in parent):
+        verdict = "unresolved"
+    else:
+        verdict = "no regression"
     return {
         "parent": p, "change": c, "better": better,
         "change_wins": f"{wins}/{len(parent)}",
         "change_vs_parent_median": round(shift, 4),
         "median_difference": round(c["median"] - p["median"], 4),
-        "parent_quartile_distance": round(p["q3"] - p["q1"], 4),
+        "parent_quartile_distance": round(quartiles, 4),
+        "spread": round(spread, 4),
         "bound": bound,
-        "within_bound": sign * shift >= -bound,
+        "within_bound": within_bound,
+        "verdict": verdict,
     }
 
 
