@@ -3,8 +3,10 @@
 Every quantity in the model (embeddings, hidden states, attention weights,
 losses) is a Tensor.  Running math inside a `with Tape() as tape:` block
 records one node per primitive op, in execution order, which is a topological
-order by construction.  `tape.backward(loss)` walks the nodes once in reverse
-and deposits gradients into the leaf tensors that asked for them.
+order by construction.  A node may return several outputs (`split`'s
+column blocks, the decode node's logits and coverage).  `tape.backward(loss)`
+walks the nodes once in reverse and deposits gradients into the leaf tensors
+that asked for them.
 
 Which gradients are kept is decided in one place, `Tape.backward`: every
 backward rule and fused node hands the tape a part for each input it reads,
@@ -24,8 +26,8 @@ in lockstep; `embedding` looks up an encode's every position in one node,
 teacher-forced decode as one node over the same step arithmetic: both run
 one GRU step forward, `_gru_step`, and one backward, `_gru_step_backward`.
 Their backward passes reproduce the op-by-op composition's gradients bit
-for bit.  A desk step records 100 nodes for `focconstrain` (2,164 op by
-op), 23 for `s2s`.
+for bit.  A desk step records 94 nodes for `focconstrain` (2,161 op by
+op), 85 for `foc` and `foccoverage`, 19 for `s2s`.
 """
 
 from __future__ import annotations
@@ -84,10 +86,11 @@ def _as_tensor(x) -> Tensor:
 class _Node:
     """One recorded op.  backward(g) returns, or yields, an (input, part)
     pair for every input it reads.  An input may come in several pairs, and
-    the tape adds its parts in that order."""
+    the tape adds its parts in that order.  For a tuple of outputs, g is a
+    tuple of their gradients, None where none arrived."""
 
-    out: Tensor
-    backward: Callable[[Array], Iterable[tuple[Tensor, Array]]]
+    out: Tensor | tuple[Tensor, ...]
+    backward: Callable[..., Iterable[tuple[Tensor, Array]]]
 
 
 class Tape:
@@ -113,10 +116,12 @@ class Tape:
 
         root must hold a single element.  Each node is visited exactly once,
         in reverse recording order, so two backward passes over identical
-        tapes produce bit-identical gradients.  A tensor's gradient is the
-        left-to-right sum of its parts in visiting order; within one node,
-        the parts of an input that comes in several pairs are added in the
-        order the node yields them.
+        tapes produce bit-identical gradients.  Its backward gets its
+        output's gradient, or a tuple of one per output (None where none
+        arrived), and is not called if none arrived.  A tensor's gradient is
+        the left-to-right sum of its parts in visiting order; within one
+        node, the parts of an input that comes in several pairs are added in
+        the order the node yields them.
 
         This is the one place that decides which gradients are kept: a pair
         whose tensor does not require grad is skipped, so no rule or fused
@@ -126,40 +131,35 @@ class Tape:
         and later parts go into that one in place.
 
         The pass consumes the tape: each node leaves `nodes` as it is
-        visited, and with it its output and whatever its rule kept, once no
+        visited, and with it its outputs and whatever its rule kept, once no
         other node or caller holds them.  The gradient of an intermediate
         tensor goes when its producer has run, so at the end only leaves'
         gradients are held; `nodes` is empty when this returns.
         """
         if root.size != 1:
             raise DimensionError(f"backward root must be scalar, got shape {root.shape}")
-        grads: dict[int, Array] = {id(root): np.ones_like(root.data)}
-        holders: dict[int, Tensor] = {id(root): root}
-        owned: set[int] = set()  # keys whose gradient is an array of the tape's own
+        grads: dict[Tensor, Array] = {root: np.ones_like(root.data)}
+        owned: set[Tensor] = set()  # tensors whose gradient is an array of the tape's own
         # a produced tensor receives every gradient part before its producer
         # is visited, so what is left in grads at the end belongs to leaves
         while self.nodes:
             node = self.nodes.pop()
-            out_key = id(node.out)
-            g = grads.pop(out_key, None)
-            holders.pop(out_key, None)
-            if g is None:
-                continue  # dead branch: output never influenced the root
-            owned.discard(out_key)
-            for inp, gi in node.backward(g):
+            outs = node.out if isinstance(node.out, tuple) else (node.out,)
+            g = tuple(grads.pop(t, None) for t in outs)
+            owned.difference_update(outs)
+            if all(gi is None for gi in g):
+                continue  # dead branch: no output influenced the root
+            for inp, gi in node.backward(g if outs is node.out else g[0]):
                 if not inp.requires_grad:
                     continue
-                key = id(inp)
-                if key in owned:
-                    grads[key] += gi
-                elif key in grads:
-                    grads[key] = grads[key] + gi
-                    owned.add(key)
+                if inp in owned:
+                    grads[inp] += gi
+                elif inp in grads:
+                    grads[inp] = grads[inp] + gi
+                    owned.add(inp)
                 else:
-                    grads[key] = gi
-                    holders[key] = inp
-        for key, g in grads.items():
-            t = holders[key]
+                    grads[inp] = gi
+        for t, g in grads.items():
             if t.requires_grad:
                 t.grad = g if t.grad is None else t.grad + g
 
@@ -169,19 +169,21 @@ def _recording(inputs: tuple[Tensor, ...]) -> bool:
     return Tape.current is not None and any(t.requires_grad for t in inputs)
 
 
-def _record_pairs(inputs: tuple[Tensor, ...], out: Tensor, backward) -> Tensor:
+def _record_pairs(inputs: tuple[Tensor, ...], out, backward):
     """Record a node that reads the distinct tensors inputs, if one of them
-    requires grad; backward(g) returns or yields the node's (input, part)
-    pairs, each input's parts in the order the tape is to add them."""
+    requires grad, and return out, a Tensor or a tuple of them.  backward(g)
+    returns or yields the node's (input, part) pairs, each input's parts in
+    the order the tape is to add them; for a tuple out, g is a tuple of one
+    gradient per output, None where none arrived."""
     if _recording(inputs):
-        out.requires_grad = True
+        for t in out if isinstance(out, tuple) else (out,):
+            t.requires_grad = True
         Tape.current.nodes.append(_Node(out, backward))
     return out
 
 
-def _record(inputs: tuple[Tensor, ...], out: Tensor, rule) -> Tensor:
-    """Record a primitive whose rule(g) returns one part per entry of
-    inputs."""
+def _record(inputs: tuple[Tensor, ...], out, rule):
+    """Record a primitive whose rule(g) returns one part per entry of inputs."""
     return _record_pairs(inputs, out, lambda g: zip(inputs, rule(g), strict=True))
 
 
@@ -285,19 +287,20 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
                    lambda g: tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts))))
 
 
-def narrow(x: Tensor, start: int, length: int) -> Tensor:
-    """Columns start:start+length of a 2-d tensor."""
-    if x.data.ndim != 2 or start < 0 or start + length > x.shape[1]:
-        raise DimensionError(f"narrow: columns [{start}:{start + length}] of {x.shape}")
-    sl = (slice(None), slice(start, start + length))
-    out = Tensor(x.data[sl].copy())
+def split(x: Tensor, widths: Sequence[int]) -> tuple[Tensor, ...]:
+    """A 2-d tensor's columns as blocks of the given widths, left to right:
+    the inverse of concat, one node with an output per block."""
+    if x.data.ndim != 2 or min(widths, default=0) < 0 or sum(widths) != x.shape[1]:
+        raise DimensionError(f"split: widths {list(widths)} do not tile the columns of {x.shape}")
+    cols = [slice(a, a + w) for a, w in zip(np.cumsum([0, *widths]), widths)]
 
-    def backward(g: Array):
+    def backward(gs: tuple[Array | None, ...]):
         buf = np.zeros_like(x.data)
-        buf[sl] = g
+        for sl, g in zip(cols, gs):
+            buf[:, sl] = 0.0 if g is None else g
         return (buf,)
 
-    return _record((x,), out, backward)
+    return _record((x,), tuple(Tensor(x.data[:, sl].copy()) for sl in cols), backward)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

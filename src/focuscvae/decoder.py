@@ -53,8 +53,7 @@ def init_decoder_weights(rng: np.random.Generator, d_emb: int, d_h: int, d_cond:
 def initial_states(conditioning: Tensor, w: DecoderWeights) -> list[Tensor]:
     """tanh(affine(conditioning)) split into the two layers' starting states."""
     s = ad.tanh(affine(conditioning, w.init))
-    d_h = s.shape[1] // 2
-    return [ad.narrow(s, 0, d_h), ad.narrow(s, d_h, d_h)]
+    return list(ad.split(s, [s.shape[1] // 2] * 2))
 
 
 def _decode_step(setup: AttentionSetup, stacks: list[tuple[Array, Array, Array]],
@@ -94,22 +93,21 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
     attention rows as tensors without gradient.  Logits at step t see gold
     tokens strictly before t.
 
-    The node's output holds every step's logits and then the final
-    coverage, [B, T*V + Tx], split by two narrows.  Its forward loops
-    `_decode_step` and keeps only what the backward reads.  The backward
-    walks the steps in reverse, each cell's step through the
+    The logits and the coverage are the node's two outputs.  Its forward
+    loops `_decode_step` and keeps only what the backward reads.  The
+    backward walks the steps in reverse, each cell's step through the
     `_gru_step_backward` that `gru_layer` runs too, and yields (input,
     part) pairs, each input's parts in the order the tape visited them when
     every step was composed of tape primitives (attention, embedding
     lookup, two one-step GRU layers, concat and affine), so gradients match
     that composition bit for bit.  Every input gets its pairs, and the tape
-    drops those of inputs that do not require grad.  An all-zero coverage
-    gradient counts as none, as when nothing downstream reads the coverage.
+    drops those of inputs that do not require grad.  A step of the logits
+    or of a cell that no gradient reaches is skipped, as that tape did.
     """
     b, t_max = resp_ids.shape
     if t_max == 0:
         raise ValidationError("decode_train needs at least one response position")
-    vocab, length = w.out.b.shape[0], setup.length
+    vocab = w.out.b.shape[0]
     d_h = init[1].shape[1]
     att = setup.weights
     inputs = [w.out.b, w.out.W, *init, emb_table, w.start, setup.context_flat, setup.base,
@@ -123,9 +121,9 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
 
     stacks = [_gate_stacks([cell]) for cell in w.cells]
     keeps = resp_mask.T.astype(np.float64)[:, :, None]
-    out = np.empty((b, t_max * vocab + length))
+    out = np.empty((b, t_max, vocab))
     states = [s.data[None] for s in init]
-    coverage = np.zeros((b, length))
+    coverage = np.zeros((b, setup.length))
     x = np.repeat(w.start.data, b, axis=0)
     saved, alphas = [], []
     for t in range(t_max):
@@ -133,29 +131,31 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
             x = emb_table.data[resp_ids[:, t - 1]]
         logits, alpha, states, coverage, step = _decode_step(
             setup, stacks, w.out.W.data, x, states, coverage, keeps[t], recording)
-        np.add(logits, w.out.b.data, out=out[:, t * vocab:(t + 1) * vocab])
+        np.add(logits, w.out.b.data, out=out[:, t])
         saved.append(step)
         alphas.append(Tensor(alpha))
-    out[:, t_max * vocab:] = coverage
 
-    def backward(g: Array):
+    def backward(g: tuple[Array | None, Array | None]):
+        g_out, g_cov = g
         stacks = [_gate_stacks([cell]) for cell in w.cells]  # the forward's are not kept
-        g_cov = g[:, t_max * vocab:]
-        g_cov = g_cov if g_cov.any() else None
         later = [[], []]  # each cell's state gradient parts from the later step
         for t in range(t_max - 1, -1, -1):
             attended, cells, rows = saved[t]
-            g_logits = g[:, t * vocab:(t + 1) * vocab]
-            yield w.out.b, g_logits.sum(axis=0)
-            yield w.out.W, rows.T @ g_logits
-            g_rows = g_logits @ w.out.W.data.T
-            later[1].append(g_rows[:, :d_h])
+            g_context = g_x = None
+            if g_out is not None:
+                g_logits = g_out.reshape(b, t_max, vocab)[:, t]
+                yield w.out.b, g_logits.sum(axis=0)
+                yield w.out.W, rows.T @ g_logits
+                g_rows = g_logits @ w.out.W.data.T
+                later[1].append(g_rows[:, :d_h])
+                g_context = g_rows[:, d_h:]
             for i in (1, 0):  # the top cell first, as the tape visited them
+                if not later[i]:
+                    continue  # its state reaches nothing that the root reads
                 x, h, ur, c = cells[i]
                 W, U, _ = stacks[i]
-                dg, h_parts, pairs = _gru_step_backward(
-                    w.cells[i:i + 1], _fold(later[i])[None], x[None], h, ur, c, None, None, U,
-                    True)
+                dg, h_parts, pairs = _gru_step_backward(w.cells[i:i + 1], _fold(later[i])[None],
+                                                        x[None], h, ur, c, None, None, U, True)
                 later[i] = [p[0] for p in h_parts]
                 if t == 0:  # the initial state's parts
                     yield from ((init[i], p) for p in later[i])
@@ -164,17 +164,16 @@ def decode_train(resp_ids: np.ndarray, resp_mask: np.ndarray, setup: AttentionSe
                 np.matmul(dg[:, 0], W.transpose(0, 1, 3, 2)[:, 0], out=g_x[::-1])
                 if i:
                     later[0] += list(g_x)
-            if t:
-                yield emb_table, _scatter(emb_table.data, resp_ids[:, t - 1], _fold(list(g_x)))
-            else:
-                yield w.start, _fold(list(g_x)).reshape(1, b, -1).sum(axis=1)
-            g_query, g_cov = yield from attend_grads(setup, attended, g_rows[:, d_h:], g_cov, t > 0)
+            if g_x is not None:  # the bottom cell ran: its input's parts
+                g_in = _fold(list(g_x))
+                yield ((emb_table, _scatter(emb_table.data, resp_ids[:, t - 1], g_in)) if t
+                       else (w.start, g_in.reshape(1, b, -1).sum(axis=1)))
+            g_query, g_cov = yield from attend_grads(setup, attended, g_context, g_cov, t > 0)
             later[1].append(g_query)
         yield init[1], g_query
 
-    node = ad._record_pairs(inputs, Tensor(out), backward)
-    logits = ad.reshape(ad.narrow(node, 0, t_max * vocab), (b * t_max, vocab))
-    return logits, ad.narrow(node, t_max * vocab, length), alphas
+    return (*ad._record_pairs(inputs, (Tensor(out.reshape(b * t_max, vocab)), Tensor(coverage)),
+                              backward), alphas)
 
 
 @dataclass

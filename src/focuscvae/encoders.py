@@ -121,12 +121,8 @@ class GaussianParams:
 
 
 def _gaussian_head(x: Tensor, w: AffineWeights, d_z: int) -> GaussianParams:
-    out = affine(x, w)
-    if out.shape[1] != 2 * d_z:
-        raise DimensionError(f"gaussian head emits {out.shape[1]} columns, expected {2 * d_z}")
-    mu = ad.narrow(out, 0, d_z)
-    log_var = ad.clamp(ad.narrow(out, d_z, d_z), LOG_VAR_MIN, LOG_VAR_MAX)
-    return GaussianParams(mu, log_var)
+    mu, log_var = ad.split(affine(x, w), [d_z, d_z])
+    return GaussianParams(mu, ad.clamp(log_var, LOG_VAR_MIN, LOG_VAR_MAX))
 
 
 def recognition(pooled_post: Tensor, pooled_resp: Tensor, w: AffineWeights,

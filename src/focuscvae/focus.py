@@ -147,17 +147,18 @@ def _sum_groups(rows: Array, k: int) -> Array:
     return rows.reshape(-1, k, rows.shape[1]).sum(axis=1)
 
 
-def attend_grads(setup: AttentionSetup, saved: tuple, g_context: Array,
+def attend_grads(setup: AttentionSetup, saved: tuple, g_context: Array | None,
                  g_coverage: Array | None, coverage_grad: bool):
     """Backward of one `attend_step` for the gradients of its context and of
-    its updated coverage (None when none reaches it).
+    its updated coverage, each None when none reaches it, not both.
 
     A generator: it yields a (tensor, part) pair for each tensor of the
-    setup that reads the step: the context rows, the log focus, v_a, V_a
-    and the states of the coverage summary, the base and U_a.  It returns
-    the gradients of s_prev and, if coverage_grad, of the coverage it read
-    (else None).  Every part is the array the composition's tape handed on,
-    and the pairs come in that tape's order.
+    setup that reads the step: the context rows (if the context has a
+    gradient), the log focus, v_a, V_a and the states of the coverage
+    summary, the base and U_a.  It returns the gradients of s_prev and, if
+    coverage_grad, of the coverage it read (else None).  Every part is the
+    array the composition's tape handed on, and the pairs come in that
+    tape's order.
 
     The gradients of the repeated rows are broadcasts, not copies, and the
     energy rows are summed by group once, for both the query and the
@@ -169,15 +170,16 @@ def attend_grads(setup: AttentionSetup, saved: tuple, g_context: Array,
     b, length = setup.post_mask.shape
     w = setup.weights
     s_prev, coverage, keep, alpha, energy, summary = saved
-    g_prev = None  # coverage's gradient: the add node passes it on first
+    g_prev = g_alpha = None  # g_prev, coverage's gradient: the add node passes it on first
     if g_coverage is not None:
         g_prev = g_coverage if coverage_grad else None
         g_alpha = g_coverage * keep
-    g_rows = g_context[:, None]  # the context's gradient, broadcast over positions
-    context_flat = setup.context_flat
-    yield context_flat, (g_rows * alpha[:, :, None]).reshape(b * length, -1)
-    g_read = (g_rows * context_flat.data.reshape(b, length, -1)).sum(axis=-1)
-    g_alpha = g_read if g_coverage is None else g_alpha + g_read
+    if g_context is not None:
+        g_rows = g_context[:, None]  # the context's gradient, broadcast over positions
+        context_flat = setup.context_flat
+        yield context_flat, (g_rows * alpha[:, :, None]).reshape(b * length, -1)
+        g_read = (g_rows * context_flat.data.reshape(b, length, -1)).sum(axis=-1)
+        g_alpha = g_read if g_alpha is None else g_alpha + g_read
     dot = (g_alpha * alpha).sum(axis=1, keepdims=True)
     g_scores = alpha * (g_alpha - dot)  # softmax
     if setup.log_focus is not None:

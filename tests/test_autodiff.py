@@ -75,6 +75,16 @@ def test_shape_mismatch_names_both_shapes():
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+def test_split_widths_must_tile_the_columns():
+    x = Tensor(np.zeros((2, 5)))
+    for widths in ([2, 2], [3, 3], [6, -1], []):
+        with pytest.raises(DimensionError):
+            ad.split(x, widths)
+    with pytest.raises(DimensionError):
+        ad.split(Tensor(np.zeros(5)), [5])
+    assert [t.shape for t in ad.split(x, [2, 0, 3])] == [(2, 2), (2, 0), (2, 3)]
+
+
 def test_only_a_constant_scalar_broadcasts():
     a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     for op in (ad.add, ad.mul):
@@ -235,6 +245,14 @@ def _rand(rng, shape):
 
 ALL_ON = np.ones((3, 5), dtype=bool)  # the unmasked softmax cases' mask
 
+
+def _split_loss(a, read):
+    # reads the blocks of a's three-way split named in read; the others'
+    # gradient slots stay None
+    blocks = ad.split(a, [2, 3, 1])
+    return scalar_loss(ad.concat([ad.mul(blocks[i], ad.tanh(blocks[i])) for i in read]))
+
+
 PRIMITIVE_CASES = [
     ("add", lambda rng: ((a := _rand(rng, (3, 4))), (b := _rand(rng, (3, 4))),
                          lambda: scalar_loss(ad.mul(ad.add(a, b), ad.add(a, b))), {"a": a, "b": b})),
@@ -256,8 +274,10 @@ PRIMITIVE_CASES = [
                               lambda: scalar_loss(ad.tanh(ad.bias_add(a, b))), {"a": a, "b": b})),
     ("concat", lambda rng: ((a := _rand(rng, (3, 2))), (b := _rand(rng, (3, 4))),
                             lambda: scalar_loss(ad.tanh(ad.concat([a, b]))), {"a": a, "b": b})),
-    ("narrow", lambda rng: ((a := _rand(rng, (4, 5))), None,
-                            lambda: scalar_loss(ad.mul(ad.narrow(a, 1, 3), ad.narrow(a, 2, 3))), {"a": a})),
+    ("split", lambda rng: ((a := _rand(rng, (4, 6))), None,
+                           lambda: _split_loss(a, (0, 1, 2)), {"a": a})),
+    ("split_one_block", lambda rng: ((a := _rand(rng, (4, 6))), None,
+                                     lambda: _split_loss(a, (1,)), {"a": a})),
     ("reshape", lambda rng: ((a := _rand(rng, (3, 4))), None,
                              lambda: scalar_loss(ad.tanh(ad.reshape(a, (6, 2)))), {"a": a})),
     ("repeat_rows", lambda rng: ((a := _rand(rng, (3, 2))), None,
@@ -619,6 +639,71 @@ def test_the_tape_drops_the_parts_of_a_tensor_that_needs_no_gradient():
     tape.backward(out)
     assert c.grad is None
     assert x.grad.tobytes() == ((x_parts[0] + x_parts[1]) + x_parts[2]).tobytes()
+
+
+def _two_outputs(x):
+    """A node with outputs 2x and x*x; calls collects the g its backward is handed."""
+    calls = []
+
+    def backward(g):
+        calls.append(g)
+        g_double, g_square = g
+        if g_double is not None:
+            yield x, g_double * 2.0
+        if g_square is not None:
+            yield x, g_square * 2.0 * x.data
+
+    outs = ad._record_pairs((x,), (Tensor(2.0 * x.data), Tensor(x.data * x.data)), backward)
+    return outs, calls
+
+
+@pytest.mark.parametrize("read", [0, 1])
+def test_a_node_of_two_outputs_gets_none_for_the_one_not_read(read):
+    x = Tensor(np.random.default_rng(10).normal(size=4), requires_grad=True)
+    with Tape() as tape:
+        outs, calls = _two_outputs(x)
+        loss = ad.sum_all(ad.tanh(outs[read]))
+    tape.backward(loss)
+    (g,) = calls
+    g_read = 1.0 - np.tanh(outs[read].data) ** 2
+    assert len(g) == 2 and g[1 - read] is None and g[read].tobytes() == g_read.tobytes()
+    scale = 2.0 if read == 0 else 2.0 * x.data
+    assert x.grad.tobytes() == (g_read * scale).tobytes()
+
+
+def test_a_node_whose_outputs_are_not_read_is_never_called():
+    x = Tensor(np.random.default_rng(11).normal(size=4), requires_grad=True)
+    with Tape() as tape:
+        _, calls = _two_outputs(x)
+        loss = ad.sum_all(ad.tanh(x))
+    tape.backward(loss)
+    assert calls == [] and x.grad.tobytes() == (1.0 - np.tanh(x.data) ** 2).tobytes()
+
+
+def test_a_one_argument_wrapper_passes_a_gradient_tuple_through():
+    def marked(backward, marks):  # the form of a tracer's per-node wrapper
+        def rule(g):
+            marks.append(g)
+            return backward(g)
+        return rule
+
+    def grads(wrap):
+        rng = np.random.default_rng(12)
+        x, y = (Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(2))
+        with Tape() as tape:
+            (double, square), _ = _two_outputs(x)
+            left, right = ad.split(ad.mul(square, y), [1, 2])
+            loss = ad.sum_all(ad.mul(ad.concat([right, left]), ad.tanh(double)))
+        marks = []
+        if wrap:
+            for node in tape.nodes:
+                node.backward = marked(node.backward, marks)
+        n = len(tape.nodes)
+        tape.backward(loss)
+        assert len(marks) == (n if wrap else 0)
+        return x.grad.tobytes(), y.grad.tobytes()
+
+    assert grads(wrap=True) == grads(wrap=False)
 
 
 def test_grad_check_reports_per_tensor():
